@@ -9,10 +9,17 @@ complex: every link must have the reduced homology of a sphere of its
 dimension (all zero below, exactly one at the top); the void complex,
 the complex {emptyset} and a pair of points all count as Gorenstein.
 
-All homology is computed per field characteristic with exact arithmetic:
-bitset elimination over GF(2), dense elimination mod p, and fraction-free
-integer elimination for characteristic 0.  Verdicts never collapse fields
-silently; callers pass the characteristics they care about.
+All homology is exact and per field characteristic.  Faces are bitmasks
+over vertex positions.  Over GF(2) the boundary ranks come from bitset
+elimination, over GF(p) from dense elimination mod p.  Over Q the ranks
+are certified for the chain complex as a whole (see ``_rational_ranks``):
+ranks mod primes bound each rational rank from below, d*d = 0 bounds it
+from above through its neighbours, and a rank whose bounds meet is exact.
+When the mod-p Betti numbers vanish below the top dimension every rank is
+pinned, so the rational profile equals the mod-p one (the universal
+coefficient theorem seen through ranks); integer elimination runs only on
+ranks the bounds leave open.  Verdicts never collapse fields silently;
+callers pass the characteristics they care about.
 
 For independence complexes everything runs at graph level: the link of a
 face F in Delta(G) is Delta(G minus N[F]), again an independence complex,
@@ -30,14 +37,34 @@ from .graph import Graph, GraphInputError, bits
 from .independence import _mis_masks, independence_number, is_well_covered
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below this bound; bases
+# 2..37 alone are exact below 3.18e23 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for 0 <= p < _MR_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -49,6 +76,8 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if c >= _MR_LIMIT:
+            raise GraphInputError(f"field characteristic {c} is too large to certify as prime")
         if c != 0 and not _is_prime(c):
             raise GraphInputError(f"field characteristic must be 0 or a prime, got {c}")
 
@@ -248,14 +277,24 @@ def core(delta: SimplicialComplex) -> SimplicialComplex:
 
 
 def _faces_by_card_from_complex(delta: SimplicialComplex):
+    """Faces of the complex as bitmasks over universe positions, listed by
+    cardinality (entry c holds the (c-1)-faces); [] for the void complex."""
     pos = {v: i for i, v in enumerate(delta.universe)}
+    faces = set()
+    for f in delta.facets:
+        top = sum(1 << pos[v] for v in f)
+        sub = top
+        while True:  # every submask of the facet
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
     by_card = {}
-    for f in delta.faces():
-        key = tuple(sorted(pos[v] for v in f))
-        by_card.setdefault(len(f), set()).add(key)
+    for f in faces:
+        by_card.setdefault(f.bit_count(), []).append(f)
     if not by_card:
         return []
-    return [sorted(by_card.get(c, ())) for c in range(max(by_card) + 1)]
+    return [sorted(by_card[c]) for c in range(max(by_card) + 1)]
 
 
 def _independent_masks_by_card(g: Graph):
@@ -275,51 +314,106 @@ def _independent_masks_by_card(g: Graph):
     return [sorted(level) for level in by_card if level]
 
 
-def _boundary_rank(prev_faces, cur_faces, char: int) -> int:
-    """Rank of the boundary map from cur_faces (cardinality c) down to
-    prev_faces (cardinality c-1); faces are sorted index tuples."""
-    if not cur_faces or not prev_faces:
-        return 0
+def _boundary_columns(prev_faces, cur_faces):
+    """The boundary map from cur_faces (cardinality c) to prev_faces
+    (cardinality c-1), faces being bitmasks: one column per face of
+    cur_faces, listing the rows of the faces it covers in increasing order
+    of the dropped vertex, so the entries along a column are +1, -1, ..."""
     row_of = {f: i for i, f in enumerate(prev_faces)}
-    if char == 2:
-        cols = []
-        for f in cur_faces:
-            colmask = 0
-            for t in range(len(f)):
-                sub = f[:t] + f[t + 1 :]
-                colmask |= 1 << row_of[sub]
-            cols.append(colmask)
-        return linalg.rank_gf2(cols)
-    ncols = len(cur_faces)
-    rows = [[0] * ncols for _ in prev_faces]
-    for j, f in enumerate(cur_faces):
-        for t in range(len(f)):
-            sub = f[:t] + f[t + 1 :]
-            rows[row_of[sub]][j] = 1 if t % 2 == 0 else -1
-    if char == 0:
-        return linalg.rank_char0(rows)
-    return linalg.rank_mod_p(rows, char)
+    cols = []
+    for f in cur_faces:
+        col = []
+        rest = f
+        while rest:
+            low = rest & -rest
+            col.append(row_of[f ^ low])
+            rest ^= low
+        cols.append(col)
+    return cols
+
+
+def _dense_rows(cols, nrows):
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for t, i in enumerate(col):
+            rows[i][j] = -1 if t & 1 else 1
+    return rows
+
+
+def _rank_mod(cols, nrows: int, p: int) -> int:
+    """Rank modulo the prime p of a map given by _boundary_columns."""
+    if p != 2:
+        return linalg.rank_mod_p(_dense_rows(cols, nrows), p)
+    masks = []
+    for col in cols:
+        mask = 0
+        for i in col:
+            mask |= 1 << i
+        masks.append(mask)
+    return linalg.rank_gf2(masks)
+
+
+def _rational_ranks(sizes, cols) -> list:
+    """Ranks over Q of the boundary maps d_c (cardinality c to c-1), with
+    ranks[0] = ranks[top+1] = 0, certified for the chain complex as a whole.
+
+    Write n_c = sizes[c] and r_c for the rational rank of d_c.
+    * Lower bounds: r_c >= rank of d_c mod p for every prime p, since a
+      minor that is non-zero mod p is a non-zero integer.
+    * Upper bounds: d_{c-1} d_c = 0 puts im d_c inside ker d_{c-1}, and
+      d_c d_{c+1} = 0 puts im d_{c+1} inside ker d_c, so
+      r_c <= min(n_{c-1} - r_{c-1}, n_c - r_{c+1})
+          <= min(n_{c-1} - lo_{c-1}, n_c - lo_{c+1}) = hi_c.
+    * A rank with lo_c = hi_c is exact, and an exact rank can pin its
+      neighbours in turn.
+    In particular, if the mod-p Betti numbers n_c - lo_c - lo_{c+1} vanish
+    for every c below the top cardinality T, then hi_c <= n_c - lo_{c+1}
+    = lo_c for c < T and hi_T <= n_{T-1} - lo_{T-1} = lo_T: every rank is
+    pinned and the rational profile equals the mod-p one.
+
+    Each stage runs only on the maps the stages before it left open:
+    1. GF(2) ranks of every map, from bitset columns;
+    2. ranks modulo linalg.LARGE_PRIME;
+    3. linalg.rank_char0 with the chain upper bound, one map at a time,
+       settling the bounds again after each exact rank.
+    """
+    top = len(sizes) - 2
+    lo = [0] + [_rank_mod(cols[c], sizes[c - 1], 2) for c in range(1, top + 1)] + [0]
+    hi = [0] + [min(sizes[c - 1], sizes[c]) for c in range(1, top + 1)] + [0]
+
+    def settle():
+        for c in range(1, top + 1):
+            hi[c] = min(hi[c], sizes[c - 1] - lo[c - 1], sizes[c] - lo[c + 1])
+            if hi[c] < lo[c]:
+                raise ArithmeticError(f"rank bounds crossed at cardinality {c}")
+        return [c for c in range(1, top + 1) if lo[c] < hi[c]]
+
+    open_maps = settle()
+    for c in open_maps:
+        lo[c] = max(lo[c], _rank_mod(cols[c], sizes[c - 1], linalg.LARGE_PRIME))
+    open_maps = settle()
+    while open_maps:
+        c = open_maps[0]
+        lo[c] = hi[c] = linalg.rank_char0(_dense_rows(cols[c], sizes[c - 1]), hi[c])
+        open_maps = settle()
+    return lo
 
 
 def _profile_from_cards(faces_by_card, char: int) -> tuple:
-    """Reduced Betti numbers indexed by cardinality (index c = dim c-1)."""
+    """Reduced Betti numbers indexed by cardinality (index c = dim c-1);
+    faces_by_card[c] lists the faces of cardinality c as bitmasks."""
     if not faces_by_card:
         return ()
     top = len(faces_by_card) - 1
-    # masks vs tuples: normalise masks to sorted index tuples
-    levels = []
-    for level in faces_by_card:
-        norm = []
-        for f in level:
-            if isinstance(f, int):
-                norm.append(tuple(bits(f)))
-            else:
-                norm.append(tuple(f))
-        levels.append(norm)
-    ranks = [0] * (top + 2)
-    for c in range(1, top + 1):
-        ranks[c] = _boundary_rank(levels[c - 1], levels[c], char)
-    return tuple(len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(top + 1))
+    sizes = [len(level) for level in faces_by_card] + [0]
+    cols = [None] + [
+        _boundary_columns(faces_by_card[c - 1], faces_by_card[c]) for c in range(1, top + 1)
+    ]
+    if char == 0:
+        ranks = _rational_ranks(sizes, cols)
+    else:
+        ranks = [0] + [_rank_mod(cols[c], sizes[c - 1], char) for c in range(1, top + 1)] + [0]
+    return tuple(sizes[c] - ranks[c] - ranks[c + 1] for c in range(top + 1))
 
 
 def betti_profile(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile:

@@ -1,17 +1,23 @@
 """Exact rank computations for boundary matrices.
 
-Characteristic 0 ranks are certified exactly: a full-rank certificate
-modulo a large prime when it applies (rank mod p never exceeds the
-rational rank), otherwise fraction-free integer elimination (Bareiss).
 Characteristic 2 uses bitset columns; other primes use dense elimination
-mod p.
+mod p, in int64 while (p-1)**2 fits and in Python integers beyond that.
+
+Over Q, ranks are certified rather than eliminated.  For an integer
+matrix and any prime p, rank over Q >= rank mod p, because a minor that
+is non-zero mod p is a non-zero integer.  A rank mod p that reaches a
+known upper bound on the rational rank is therefore the rational rank.
+``complexes`` bounds the ranks of a whole chain complex from above
+through d*d = 0 and settles most of them that way; ``rank_char0`` runs
+fraction-free integer elimination (Bareiss) only when the rank modulo
+LARGE_PRIME stays below the bound it is given.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_BIG_PRIME = 2147483647  # fits int64 arithmetic: p * p < 2**63
+LARGE_PRIME = 2147483647  # fits int64 arithmetic: p * p < 2**63
 
 
 def rank_gf2(columns) -> int:
@@ -35,7 +41,9 @@ def rank_mod_p(rows, p: int) -> int:
     """Rank of an integer matrix (list of rows) modulo a prime p."""
     if not rows or not rows[0]:
         return 0
-    a = np.array(rows, dtype=np.int64) % p
+    # products of two residues must not overflow int64
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    a = np.array(rows, dtype=dtype) % p
     m, ncol = a.shape
     r = 0
     for c in range(ncol):
@@ -89,12 +97,13 @@ def rank_bareiss(rows) -> int:
     return r
 
 
-def rank_char0(rows) -> int:
-    """Exact rank over the rationals."""
+def rank_char0(rows, upper: int) -> int:
+    """Exact rank over the rationals, given an upper bound on it known to
+    the caller: a rank modulo LARGE_PRIME that reaches the bound is exact,
+    otherwise Bareiss decides."""
     if not rows or not rows[0]:
         return 0
-    m, ncol = len(rows), len(rows[0])
-    r = rank_mod_p(rows, _BIG_PRIME)
-    if r == min(m, ncol):
+    r = rank_mod_p(rows, LARGE_PRIME)
+    if r == upper:
         return r
     return rank_bareiss(rows)

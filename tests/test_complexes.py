@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_reduced_betti, graphs
 
+from graphcm import complexes, linalg
 from graphcm.complexes import (
     DEFAULT_FIELDS,
     FieldSpec,
@@ -35,6 +37,25 @@ def test_field_spec_validation():
     assert [f.characteristic for f in parse_fields("0,2,3")] == [0, 2, 3]
     with pytest.raises(GraphInputError):
         parse_fields("0,banana")
+    # large characteristics are decided at once, not by trial division
+    FieldSpec(10**15 + 37)
+    assert parse_fields("0,1000000000000000003")[1].characteristic == 10**18 + 3
+    with pytest.raises(GraphInputError):
+        FieldSpec((10**9 + 7) * (10**9 + 9))
+    with pytest.raises(GraphInputError):
+        FieldSpec(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    with pytest.raises(GraphInputError):
+        FieldSpec(10**25 + 13)  # beyond the deterministic Miller-Rabin range
+
+
+def test_is_prime_matches_sieve():
+    n = 20000
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, n):
+        if sieve[p]:
+            for q in range(p * p, n, p):
+                sieve[q] = False
+    assert [complexes._is_prime(k) for k in range(n)] == sieve
 
 
 def test_complex_normalisation_and_void():
@@ -245,3 +266,61 @@ def test_implication_chain_small(small_connected):
                 assert cm
         if all(is_gorenstein_graph(g, f) for f in DEFAULT_FIELDS) and not g.isolated_vertices():
             assert is_w2(g)
+
+
+# -- bare complexes: torsion and the rational fallback ---------------------------
+
+# the 6-vertex real projective plane: H_1(RP^2; Z) = Z/2
+RP2 = SimplicialComplex(
+    tuple(range(6)),
+    tuple(
+        frozenset(f)
+        for f in [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                  (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    ),
+)
+
+
+def _brute(delta, char):
+    pos = {v: i for i, v in enumerate(delta.universe)}
+    return brute_reduced_betti([frozenset(pos[v] for v in f) for f in delta.faces()], char)
+
+
+def test_rp2_torsion_splits_fields():
+    assert betti_profile(RP2, FieldSpec(2)).betti == (0, 0, 1, 1)
+    assert not is_cm(RP2, FieldSpec(2))
+    for char in (0, 3, 4294967311):
+        assert betti_profile(RP2, FieldSpec(char)).betti == (0, 0, 0, 0)
+        assert is_cm(RP2, FieldSpec(char))
+    for char in (0, 2, 3):
+        assert betti_profile(RP2, FieldSpec(char)).betti == _brute(RP2, char)
+
+
+def test_rational_fallback_runs_bareiss(monkeypatch):
+    # rational homology in two adjacent dimensions leaves the rank of the
+    # edge boundary open after the modular bounds, so integer elimination runs
+    calls = []
+    bareiss = linalg.rank_bareiss
+    monkeypatch.setattr(linalg, "rank_bareiss", lambda rows: calls.append(rows) or bareiss(rows))
+    hollow_triangle_and_point = (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}), frozenset({3}))
+    delta = SimplicialComplex((0, 1, 2, 3), hollow_triangle_and_point)
+    assert betti_profile(delta, FieldSpec(0)).betti == (0, 1, 1) == _brute(delta, 0)
+    assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=7))
+def test_random_complexes_match_brute_force(facets):
+    delta = SimplicialComplex(tuple(range(6)), tuple(facets))
+    for char in (0, 2, 3):
+        assert betti_profile(delta, FieldSpec(char)).betti == _brute(delta, char)
+
+
+def test_gorenstein_g6_needs_no_bareiss(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("integer elimination should not be needed")
+
+    monkeypatch.setattr(linalg, "rank_bareiss", refuse)
+    complexes.clear_caches()
+    for char in (0, 2):
+        assert is_gorenstein_graph(gen_G(6), FieldSpec(char))
