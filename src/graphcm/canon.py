@@ -2,29 +2,70 @@
 
 ``canonical_form(G)`` returns a byte string that is invariant under
 relabeling and distinct for non-isomorphic graphs: one length byte followed
-by the lexicographically minimal packed adjacency matrix over all vertex
-orderings compatible with iterated colour refinement.  The search prunes
-orderings whose partial matrix already exceeds the best one found and skips
-root branches identified by automorphisms discovered along the way.
+by the lexicographically minimal packed adjacency matrix over the leaves
+(vertex orderings) of a search tree.  A node is an ordered partition, a
+list of cell bitmasks, whose first ``k`` cells are the vertices placed so
+far.  ``_refine`` splits every cell by the vector of popcounts
+``(adj[v] & c).bit_count()`` over all cells ``c``, in the order of that
+vector, until no cell splits (the fixed point of colour refinement).  A
+singleton target cell is placed as it is; otherwise each child
+individualises one of its vertices and refines.  Every step depends only on
+the graph and the placed prefix, so isomorphisms map search trees onto each
+other.
+
+A node whose packed rows already exceed the best leaf's is cut.
+Automorphisms are stored as found: one chain of transpositions per class of
+twins (``N(u) - {v} == N(v) - {u}``), then ``best_perm[i] -> order[i]`` at
+each leaf whose rows equal the best.  A child is skipped when it lies in the
+orbit of a tried sibling under the stored automorphisms that fix the prefix
+pointwise: such an automorphism maps the one subtree onto the other, leaf by
+leaf with equal rows.  For the same reason a leaf equal to the best abandons
+the search back to where its path left the best one.  Any best leaf gives
+the canonical rows, so graphs with equal forms place corresponding vertices
+at equal canonical positions.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph
 
 
-def _refine(adj, colors):
-    """Iterated neighbourhood colour refinement to a fixed point."""
-    n = len(adj)
+def _refine(adj, cells):
+    """Split the ordered partition ``cells`` until it is equitable."""
     while True:
-        sigs = []
+        out = []
+        for c in cells:
+            if c & (c - 1) == 0:
+                out.append(c)
+                continue
+            parts = {}
+            m = c
+            while m:
+                b = m & -m
+                m ^= b
+                a = adj[b.bit_length() - 1]
+                key = tuple([(a & d).bit_count() for d in cells])
+                parts[key] = parts.get(key, 0) | b
+            out.extend(parts[key] for key in sorted(parts))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _twin_automorphisms(adj):
+    """One chain of transpositions per class of false or true twins."""
+    n = len(adj)
+    out = []
+    for closed in (0, 1):
+        classes = {}
         for v in range(n):
-            sigs.append((colors[v], tuple(sorted(colors[w] for w in bits(adj[v])))))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+            classes.setdefault(adj[v] | closed << v, []).append(v)
+        for cls in classes.values():
+            for u, v in zip(cls, cls[1:]):
+                perm = list(range(n))
+                perm[u], perm[v] = v, u
+                out.append(perm)
+    return out
 
 
 def _search_cached(g: Graph):
@@ -56,68 +97,63 @@ def _search(g: Graph):
     if n == 0:
         return (), ()
     adj = g.adj
-    base = _refine(adj, [0] * n)
-
+    root = _refine(adj, [(1 << n) - 1])
+    # twins never split under refinement, so a discrete root has none
+    autos = _twin_automorphisms(adj) if len(root) < n else []
     best_rows = None
     best_perm = None
     order = []
     rows = []
 
-    # union-find over vertices, merged along discovered automorphisms; used
-    # to skip root-level branches in the same orbit
-    uf = list(range(n))
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def rec(colors, placed):
+    def rec(cells):
+        """Search below ``cells``; return the depth to resume at."""
         nonlocal best_rows, best_perm
-        k = len(order)
-        if best_rows is not None:
-            for i in range(k):
-                if rows[i] != best_rows[i]:
-                    if rows[i] > best_rows[i]:
-                        return
-                    break
-        if k == n:
-            if best_rows is None or rows < best_rows:
-                best_rows = rows.copy()
-                best_perm = order.copy()
-            elif rows == best_rows:
-                for i in range(n):
-                    a, b = find(best_perm[i]), find(order[i])
-                    if a != b:
-                        uf[a] = b
-            return
-        cmin = min(colors[v] for v in range(n) if not placed >> v & 1)
-        cell = [v for v in range(n) if not placed >> v & 1 and colors[v] == cmin]
-        tried_roots = []
-        for v in cell:
-            if k == 0:
-                rv = find(v)
-                if any(find(u) == rv for u in tried_roots):
-                    continue
-                tried_roots.append(v)
-            rowbits = 0
-            av = adj[v]
-            for i, u in enumerate(order):
-                if av >> u & 1:
-                    rowbits |= 1 << i
+        k0 = k = len(order)
+        while k < n and cells[k] & (cells[k] - 1) == 0:
+            v = cells[k].bit_length() - 1
+            rows.append(sum(1 << i for i, u in enumerate(order) if adj[v] >> u & 1))
             order.append(v)
-            rows.append(rowbits)
-            if len(cell) == 1:
-                rec(colors, placed | 1 << v)
+            k += 1
+        back = n
+        if best_rows is None or rows <= best_rows[:k]:
+            if k < n:
+                back = branch(cells, k)
+            elif best_rows is None or rows < best_rows:
+                best_rows, best_perm = rows.copy(), order.copy()
             else:
-                ncolors = colors.copy()
-                ncolors[v] = n + k + 1
-                rec(_refine(adj, ncolors), placed | 1 << v)
-            order.pop()
-            rows.pop()
+                to = dict(zip(best_perm, order))
+                autos.append([to[u] for u in range(n)])
+                back = next(i for i in range(n) if best_perm[i] != order[i])
+        del order[k0:], rows[k0:]
+        return back
 
-    rec(base, 0)
+    def branch(cells, k):
+        cell = cells[k]
+        verts = [v for v in range(n) if cell >> v & 1]
+        # orbits of the prefix stabiliser on the target cell, as union-find
+        orbit = list(range(n))
+
+        def find(x):
+            while orbit[x] != x:
+                x = orbit[x]
+            return x
+
+        used = 0
+        tried = []
+        for v in verts:
+            for perm in autos[used:]:
+                if all(perm[u] == u for u in order):
+                    for x in verts:
+                        orbit[find(x)] = find(perm[x])
+            used = len(autos)
+            if all(find(u) != find(v) for u in tried):
+                tried.append(v)
+                back = rec(_refine(adj, cells[:k] + [1 << v, cell ^ 1 << v] + cells[k + 1:]))
+                if back < k:
+                    return back
+        return n
+
+    rec(root)
     return tuple(best_rows), tuple(best_perm)
 
 

@@ -163,8 +163,8 @@ def _cmd_enumerate(args) -> int:
         block_cactus_only=args.block_cactus_only,
         cactus_only=args.cactus_only,
     )
-    # generation itself is canonical-form bound and runs sequentially; the
-    # output is independent of --workers by construction
+    # generation runs in this process, so --workers is accepted but unused;
+    # the output does not depend on it
     if args.upto:
         stream = enumeration.enumerate_connected_upto(args.n, filt)
     else:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 from hypothesis import given, settings
@@ -81,3 +82,87 @@ def test_dense_symmetric_graphs():
     k44 = complete_bipartite(4, 4)
     assert canonical_form(k44) == canonical_form(_permuted(k44, [7, 2, 5, 0, 3, 6, 1, 4]))
     assert not is_isomorphic(complete_bipartite(3, 3), complete_bipartite(2, 4))
+
+
+def _from_nx(h: nx.Graph) -> Graph:
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+
+
+def _timed_form(g: Graph) -> bytes:
+    start = time.perf_counter()
+    form = canonical_form(g)
+    assert time.perf_counter() - start < 1.0, g
+    return form
+
+
+def test_symmetric_graphs_have_no_factorial_cliff():
+    # each builder makes a fresh Graph, so no call reuses a cached search
+    builders = {
+        "E10": lambda: Graph.empty(10),
+        "K10": lambda: complete_graph(10),
+        "K5,5": lambda: complete_bipartite(5, 5),
+        "5K2": lambda: Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)]),
+        "Petersen": lambda: _from_nx(nx.petersen_graph()),
+    }
+    rnd = random.Random(10)
+    forms = {}
+    for name, build in builders.items():
+        g = build()
+        form = _timed_form(g)
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = _permuted(build(), perm)
+        assert _timed_form(h) == form, name
+        assert nx.is_isomorphic(to_nx(g), to_nx(h))
+        forms[name] = form
+    assert len(set(forms.values())) == len(forms)
+    assert _timed_form(complete_bipartite(4, 6)) != forms["K5,5"]
+    assert not is_isomorphic(complete_bipartite(4, 6), complete_bipartite(5, 5))
+
+
+def test_graph_atlas_forms_distinct_and_invariant():
+    # the atlas lists every graph on at most 7 vertices once up to isomorphism
+    rnd = random.Random(7)
+    forms = set()
+    atlas = nx.graph_atlas_g()
+    for h in atlas:
+        g = _from_nx(h)
+        form = canonical_form(g)
+        forms.add(form)
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        assert canonical_form(_permuted(g, perm)) == form
+    assert len(atlas) == 1253
+    assert len(forms) == len(atlas)
+
+
+def test_shrikhande_against_rook_graph():
+    # both are srg(16, 6, 2, 2): refinement leaves one cell, so only
+    # individualisation and automorphism pruning can tell them apart
+    shrikhande = nx.Graph()
+    for a, b in itertools.product(range(4), repeat=2):
+        for da, db in ((0, 1), (1, 0), (1, 1)):
+            shrikhande.add_edge((a, b), ((a + da) % 4, (b + db) % 4))
+    rook = nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4))
+    s, r = _from_nx(shrikhande), _from_nx(rook)
+    assert {d for _, d in shrikhande.degree()} == {d for _, d in rook.degree()} == {6}
+    assert _timed_form(s) != _timed_form(r)
+    rnd = random.Random(16)
+    for g in (s, r):
+        perm = list(range(16))
+        rnd.shuffle(perm)
+        assert _timed_form(_permuted(g, perm)) == canonical_form(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=9), st.randoms(use_true_random=False))
+def test_isomorphism_map_preserves_edges(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = _permuted(g, perm)
+    phi = isomorphism_map(g, h)
+    assert phi is not None
+    assert sorted(phi) == sorted(g.labels) and sorted(phi.values()) == sorted(h.labels)
+    assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges())
+    assert g.m == h.m
