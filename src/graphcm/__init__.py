@@ -78,7 +78,6 @@ from .recognition import (
     recognize_sqc,
     simplicial_vertices,
     square_cm_criterion,
-    t3_condition,
     t3_partition_condition,
     t3_simplicial_condition,
 )

@@ -125,7 +125,7 @@ def _cmd_check(args) -> int:
         verdict = cert is not None
         certificate = cert.to_text() if cert else None
     elif name == "t3":
-        verdict = recognition.t3_condition(g)
+        verdict = recognition.t3_partition_condition(g)
     elif name == "block-cactus":
         verdict = recognition.is_block_cactus(g)
     elif name == "cactus":
@@ -163,8 +163,6 @@ def _cmd_enumerate(args) -> int:
         block_cactus_only=args.block_cactus_only,
         cactus_only=args.cactus_only,
     )
-    # generation runs in this process, so --workers is accepted but unused;
-    # the output does not depend on it
     if args.upto:
         stream = enumeration.enumerate_connected_upto(args.n, filt)
     else:
@@ -238,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planar-only", action="store_true")
     p.add_argument("--block-cactus-only", action="store_true")
     p.add_argument("--cactus-only", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 

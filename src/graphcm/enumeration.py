@@ -72,9 +72,9 @@ class EnumFilter:
     def passes_hereditary(self, g: Graph) -> bool:
         if self.min_girth is not None and g.girth() < self.min_girth:
             return False
-        if self.forbid_c4 and recognition._cycles_of_length(g, 4):
+        if self.forbid_c4 and recognition._has_cycle_of_length(g, 4):
             return False
-        if self.forbid_c5 and recognition._cycles_of_length(g, 5):
+        if self.forbid_c5 and recognition._has_cycle_of_length(g, 5):
             return False
         if self.block_cactus_only and not is_block_cactus(g):
             return False

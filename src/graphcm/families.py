@@ -135,7 +135,7 @@ def fixture_expectations(name: str) -> dict:
 def validate_fixture(name: str, fields=DEFAULT_FIELDS) -> list:
     """Check a fixture against its oracle; returns a list of failure
     messages (empty when the fixture is good)."""
-    from .recognition import _cycles_of_length
+    from .recognition import _has_cycle_of_length
 
     g = catalog(name)
     want = fixture_expectations(name)
@@ -150,7 +150,7 @@ def validate_fixture(name: str, fields=DEFAULT_FIELDS) -> list:
     if "min_girth" in want and not gi >= want["min_girth"]:
         bad.append(f"girth {gi} < {want['min_girth']}")
     if want.get("no_c4_c5"):
-        if _cycles_of_length(g, 4) or _cycles_of_length(g, 5):
+        if _has_cycle_of_length(g, 4) or _has_cycle_of_length(g, 5):
             bad.append("has a 4- or 5-cycle")
     cm_all = all(is_cm_graph(g, f) for f in fields)
     if want["cm"] != cm_all:

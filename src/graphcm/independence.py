@@ -125,10 +125,3 @@ def is_w2(g: Graph) -> bool:
         if not is_well_covered(h) or independence_number(h) != a:
             return False
     return True
-
-
-def is_independent_mask(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        if g.adj[v] & mask:
-            return False
-    return True

@@ -15,8 +15,6 @@ LARGE_PRIME stays below the bound it is given.
 
 from __future__ import annotations
 
-import numpy as np
-
 LARGE_PRIME = 2147483647  # fits int64 arithmetic: p * p < 2**63
 
 
@@ -41,6 +39,10 @@ def rank_mod_p(rows, p: int) -> int:
     """Rank of an integer matrix (list of rows) modulo a prime p."""
     if not rows or not rows[0]:
         return 0
+    # imported here, on the only path that needs it: numpy is most of the
+    # package's import time and memory, and GF(2) ranks do without it
+    import numpy as np
+
     # products of two residues must not overflow int64
     dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
     a = np.array(rows, dtype=dtype) % p

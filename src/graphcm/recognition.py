@@ -16,6 +16,17 @@ vertex-disjoint basic 5-cycles to cover everything else.  Recognition is
 an exact-cover backtracking over candidate pieces; candidate basicness is
 always judged against the full graph, and certificates are witnesses, not
 canonical objects.
+
+Basic cycles are built from the edges whose two ends have degree two in
+g, never by listing all cycles.  The vertices of degree >= 3 on a basic
+5-cycle are pairwise non-adjacent, and no three vertices of a 5-cycle are,
+so at most 2 of them have degree >= 3 and at least 3 have degree two; two
+of those are consecutive.  So every basic 5-cycle runs through such an
+edge x-y, and it is x-y-r-z-s, where s and r are the other neighbours of
+x and y and z is a common neighbour of r and s.  A 4-cycle through x-y is
+x-y-r-s, so there is one per such edge, when r != s and r ~ s.  The
+cycles are then put in the orientation and the (lexicographic) order
+that a full cycle listing (_cycles_of_length) gives them.
 """
 
 from __future__ import annotations
@@ -43,11 +54,7 @@ def simplicial_vertices(g: Graph) -> frozenset:
 
 def is_simplicial_graph(g: Graph) -> bool:
     """Every vertex belongs to some simplex of g."""
-    cover = 0
-    for v in simplicial_vertices(g):
-        i = g.index(v)
-        cover |= g.adj[i] | 1 << i
-    return cover == g.full_mask
+    return _piece_cover(g, simplicial_vertices(g), ()) == g.full_mask
 
 
 # -- cycle enumeration ----------------------------------------------------------
@@ -76,6 +83,42 @@ def _cycles_of_length(g: Graph, length: int) -> list:
     return out
 
 
+def _has_cycle_of_length(g: Graph, length: int) -> bool:
+    """Whether g has a cycle of the given length; stops at the first one."""
+    adj = g.adj
+
+    def dfs(start, u, depth, used):
+        if depth == length:
+            return adj[u] >> start & 1
+        for v in bits(adj[u] & ~used):
+            if v > start and dfs(start, v, depth + 1, used | 1 << v):
+                return True
+        return False
+
+    return any(dfs(a, a, 1, 1 << a) for a in range(g.n))
+
+
+def _oriented(cyc: tuple) -> tuple:
+    """The orientation _cycles_of_length uses: smallest vertex first,
+    second < last."""
+    k = cyc.index(min(cyc))
+    cyc = cyc[k:] + cyc[:k]
+    return cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
+
+
+def _degree_two_edges(g: Graph):
+    """Yield (x, y, s, r) for each edge xy with x < y and both ends of
+    degree 2, where s is the other neighbour of x and r that of y."""
+    adj = g.adj
+    two = 0
+    for v, row in enumerate(adj):
+        if row.bit_count() == 2:
+            two |= 1 << v
+    for x in bits(two):
+        for y in bits(adj[x] & two & -(2 << x)):
+            yield x, y, (adj[x] ^ 1 << y).bit_length() - 1, (adj[y] ^ 1 << x).bit_length() - 1
+
+
 def basic_3_cycles(g: Graph) -> list:
     """Triangles containing at least one vertex of degree two."""
     out = []
@@ -86,50 +129,66 @@ def basic_3_cycles(g: Graph) -> list:
 
 
 def basic_5_cycles(g: Graph) -> list:
-    """5-cycles with no two adjacent vertices of degree three or more."""
-    out = []
-    for cyc in _cycles_of_length(g, 5):
-        deg = [g.adj[v].bit_count() for v in cyc]
-        ok = True
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if deg[i] >= 3 and deg[j] >= 3 and g.adj[cyc[i]] >> cyc[j] & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(g.labels[v] for v in cyc))
-    return out
+    """5-cycles with no two adjacent vertices of degree three or more, in
+    the order and orientation of _cycles_of_length.
+
+    Each is built from a degree-2 edge x-y it runs through, as
+    x-y-r-z-s with s, r the other neighbours of x, y and z a common
+    neighbour of r and s (see the module docstring for why one exists)."""
+    adj = g.adj
+    degree = [row.bit_count() for row in adj]
+    if degree.count(2) < 3:
+        return []
+    high = 0
+    for v, d in enumerate(degree):
+        if d >= 3:
+            high |= 1 << v
+    found = set()
+    for x, y, s, r in _degree_two_edges(g):
+        if r == s:
+            continue
+        for z in bits(adj[r] & adj[s]):
+            h = (1 << r | 1 << s | 1 << z) & high
+            if not any(adj[v] & h for v in bits(h)):
+                found.add(_oriented((x, y, r, z, s)))
+    labels = g.labels
+    return [tuple(labels[v] for v in cyc) for cyc in sorted(found)]
+
+
+def _basic_4_cycles(g: Graph, allowed: int) -> list:
+    """basic_4_cycles with the mask of vertices in a simplex or a basic
+    5-cycle given; the order is that of _cycles_of_length, then the
+    position of the pair on the cycle."""
+    adj = g.adj
+    found = []
+    for x, y, s, r in _degree_two_edges(g):
+        if r != s and adj[r] >> s & 1 and allowed >> r & 1 and allowed >> s & 1:
+            cyc = _oriented((x, y, r, s))
+            i = cyc.index(x)
+            found.append((cyc, i if cyc[(i + 1) % 4] == y else (i - 1) % 4))
+    labels = g.labels
+    return [
+        (tuple(labels[v] for v in cyc), (labels[cyc[k]], labels[cyc[(k + 1) % 4]]))
+        for cyc, k in sorted(found)
+    ]
+
+
+def _piece_cover(g: Graph, simplicial, five_cycles) -> int:
+    """Mask of the vertices in some simplex N[x], x in ``simplicial``, or in
+    some cycle of ``five_cycles``."""
+    cover = 0
+    for v in simplicial:
+        i = g.index(v)
+        cover |= g.adj[i] | 1 << i
+    for cyc in five_cycles:
+        cover |= g.mask_of(cyc)
+    return cover
 
 
 def basic_4_cycles(g: Graph) -> list:
     """4-cycles with an adjacent degree-2 pair whose other two vertices each
     belong to a simplex or a basic 5-cycle of g; returned with that pair."""
-    simplex_cover = 0
-    for v in simplicial_vertices(g):
-        i = g.index(v)
-        simplex_cover |= g.adj[i] | 1 << i
-    basic5_cover = 0
-    for cyc in basic_5_cycles(g):
-        for v in cyc:
-            basic5_cover |= 1 << g.index(v)
-    allowed = simplex_cover | basic5_cover
-    out = []
-    for cyc in _cycles_of_length(g, 4):
-        for k in range(4):
-            x, y = cyc[k], cyc[(k + 1) % 4]
-            if g.adj[x].bit_count() != 2 or g.adj[y].bit_count() != 2:
-                continue
-            r, s = cyc[(k + 2) % 4], cyc[(k + 3) % 4]
-            if allowed >> r & 1 and allowed >> s & 1:
-                out.append(
-                    (
-                        tuple(g.labels[v] for v in cyc),
-                        (g.labels[x], g.labels[y]),
-                    )
-                )
-    return out
+    return _basic_4_cycles(g, _piece_cover(g, simplicial_vertices(g), basic_5_cycles(g)))
 
 
 # -- certificates ----------------------------------------------------------------
@@ -176,10 +235,11 @@ class SqcCertificate:
         for x, simplex in self.simplexes:
             if x not in sv or frozenset(g.closed_neighborhood(x)) != frozenset(simplex):
                 return False
-        b5 = {frozenset(c) for c in basic_5_cycles(g)}
+        five = basic_5_cycles(g)
+        b5 = {frozenset(c) for c in five}
         if any(frozenset(c) not in b5 for c in self.five_cycles):
             return False
-        b4 = {(frozenset(c), frozenset(p)) for c, p in basic_4_cycles(g)}
+        b4 = {(frozenset(c), frozenset(p)) for c, p in _basic_4_cycles(g, _piece_cover(g, sv, five))}
         if any((frozenset(c), frozenset(p)) not in b4 for c, p in self.four_cycles):
             return False
         return independence_number(g) == self.m + 2 * self.s + self.t
@@ -237,13 +297,14 @@ class PcCertificate:
             p_vertices |= {u, v}
         if p_vertices != {v for e in g.pendant_edges() for v in e}:
             return False
-        b5 = {frozenset(c) for c in basic_5_cycles(g)}
+        five = basic_5_cycles(g)
+        b5 = {frozenset(c) for c in five}
         c_vertices = set()
         for cyc in self.basic5_partition:
             if frozenset(cyc) not in b5 or c_vertices & set(cyc):
                 return False
             c_vertices |= set(cyc)
-        if c_vertices != {v for c in basic_5_cycles(g) for v in c}:
+        if c_vertices != {v for c in five for v in c}:
             return False
         return p_vertices.isdisjoint(c_vertices) and p_vertices | c_vertices == set(g.labels)
 
@@ -303,9 +364,11 @@ def _five_cycle_pieces(g: Graph):
     return sorted(by_mask.items(), key=lambda kv: kv[0])
 
 
-def _four_cycle_pieces(g: Graph):
+def _four_cycle_pieces(g: Graph, allowed=None):
+    """One (pair mask, (cycle, pair)) piece per degree-2 pair; ``allowed``
+    is the _piece_cover of g when the caller already has it."""
     by_mask = {}
-    for cyc, pair in basic_4_cycles(g):
+    for cyc, pair in basic_4_cycles(g) if allowed is None else _basic_4_cycles(g, allowed):
         mask = g.mask_of(pair)
         by_mask.setdefault(mask, (cyc, pair))
     return sorted(by_mask.items(), key=lambda kv: kv[0])
@@ -314,7 +377,10 @@ def _four_cycle_pieces(g: Graph):
 def recognize_sqc(g: Graph):
     simplex = [(m, ("S", p)) for m, p in _simplex_pieces(g)]
     five = [(m, ("C", p)) for m, p in _five_cycle_pieces(g)]
-    four = [(m, ("Q", p)) for m, p in _four_cycle_pieces(g)]
+    allowed = 0
+    for m, _ in simplex + five:
+        allowed |= m
+    four = [(m, ("Q", p)) for m, p in _four_cycle_pieces(g, allowed)]
     cover = _exact_cover(g.full_mask, simplex + five + four)
     if cover is None:
         return None
@@ -380,10 +446,6 @@ def t3_simplicial_condition(g: Graph) -> bool:
     if any(g.degree(v) > 3 for v in sv):
         return False
     return is_well_covered(g)
-
-
-def t3_condition(g: Graph) -> bool:
-    return t3_partition_condition(g)
 
 
 def _induced_block(g: Graph, block) -> Graph:
@@ -549,7 +611,7 @@ def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
         sc=recognize_sc(g),
         pc=recognize_pc(g),
         simplicial_graph=is_simplicial_graph(g),
-        t3_condition=t3_condition(g),
+        t3_condition=t3_partition_condition(g),
         block_cactus=is_block_cactus(g),
         cactus=is_cactus(g),
         square_cm={c: (square_cm_criterion(g, c) if triangle_free else None) for c in chars},

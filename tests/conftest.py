@@ -135,6 +135,95 @@ def brute_reduced_betti(faces, char: int):
     return tuple(len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(top + 1))
 
 
+def brute_cycles(g: Graph, length: int):
+    """All cycles of the given length as index tuples in the library's
+    orientation (smallest vertex first, second < last), sorted; every
+    ordering of every vertex subset is tried."""
+    out = []
+    for sub in itertools.combinations(range(g.n), length):
+        for rest in itertools.permutations(sub[1:]):
+            cyc = sub[:1] + rest
+            if cyc[1] < cyc[-1] and all(g.adj[cyc[i]] >> cyc[(i + 1) % length] & 1 for i in range(length)):
+                out.append(cyc)
+    return sorted(out)
+
+
+def _deg(g: Graph, v: int) -> int:
+    return sum(g.adj[v] >> u & 1 for u in range(g.n))
+
+
+def _labelled(g: Graph, cyc):
+    return tuple(g.labels[v] for v in cyc)
+
+
+def brute_basic_3_cycles(g: Graph):
+    """Triangles with a vertex of degree two, as label tuples."""
+    return [_labelled(g, c) for c in brute_cycles(g, 3) if any(_deg(g, v) == 2 for v in c)]
+
+
+def _brute_basic_5(g: Graph):
+    out = []
+    for cyc in brute_cycles(g, 5):
+        high = [v for v in cyc if _deg(g, v) >= 3]
+        if not any(g.adj[u] >> v & 1 for u, v in itertools.combinations(high, 2)):
+            out.append(cyc)
+    return out
+
+
+def brute_basic_5_cycles(g: Graph):
+    """5-cycles on which no two vertices of degree >= 3 are adjacent in g,
+    as label tuples."""
+    return [_labelled(g, c) for c in _brute_basic_5(g)]
+
+
+def brute_simplexes(g: Graph):
+    """Closed neighbourhoods N[x], as index masks, of the vertices x whose
+    neighbours are pairwise adjacent; one entry per simplicial x."""
+    out = []
+    for x in range(g.n):
+        nbrs = [u for u in range(g.n) if g.adj[x] >> u & 1]
+        if all(g.adj[u] >> v & 1 for u, v in itertools.combinations(nbrs, 2)):
+            out.append(sum(1 << u for u in nbrs) | 1 << x)
+    return out
+
+
+def brute_basic_4_cycles(g: Graph, allowed=None):
+    """(cycle, (x, y)) for each 4-cycle and each position k where x, y are
+    its k-th and (k+1)-th vertices, both of degree two, and the other two
+    vertices lie in ``allowed`` (default: the vertices of all simplexes and
+    basic 5-cycles); cycles in order, then k."""
+    if allowed is None:
+        allowed = 0
+        for mask in brute_simplexes(g):
+            allowed |= mask
+        for cyc in _brute_basic_5(g):
+            allowed |= sum(1 << v for v in cyc)
+    out = []
+    for cyc in brute_cycles(g, 4):
+        for k in range(4):
+            x, y, r, s = (cyc[(k + i) % 4] for i in range(4))
+            if _deg(g, x) == 2 and _deg(g, y) == 2 and allowed >> r & 1 and allowed >> s & 1:
+                out.append((_labelled(g, cyc), (g.labels[x], g.labels[y])))
+    return out
+
+
+def brute_exact_cover(universe: int, masks) -> bool:
+    """Whether some subfamily of ``masks`` partitions ``universe``: each
+    mask in turn is left out or, if disjoint from those taken, taken."""
+    masks = sorted(set(masks))
+
+    def rec(i, covered):
+        if covered == universe:
+            return True
+        if i == len(masks):
+            return False
+        if masks[i] & covered == 0 and rec(i + 1, covered | masks[i]):
+            return True
+        return rec(i + 1, covered)
+
+    return rec(0, 0)
+
+
 # -- hypothesis strategies ---------------------------------------------------------
 
 
@@ -150,6 +239,16 @@ def graphs(draw, min_n=0, max_n=7):
             if word >> k & 1:
                 edges.append((i, j))
             k += 1
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def sparse_graphs(draw, min_n=1, max_n=12):
+    """Graphs with at most n + 3 edges, where degree-2 vertices, pendant
+    edges and basic cycles are common."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=n + 3, unique=True)) if pairs else []
     return Graph.from_edges(n, edges)
 
 

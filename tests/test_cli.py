@@ -76,6 +76,12 @@ def test_enumerate_stream(capsys):
     assert len(out.strip().splitlines()) == 4
 
 
+def test_enumerate_has_no_workers_option(capsys):
+    # generation runs in one process, so there is nothing to set
+    code, _, _ = run(capsys, "enumerate", "3", "--workers", "2")
+    assert code == 2
+
+
 def test_verify_reports(capsys, tmp_path):
     out_path = tmp_path / "t3.txt"
     code, _, _ = run(capsys, "verify", "T3", "--nmax", "6", "--out", str(out_path))

@@ -3,7 +3,16 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import (
+    brute_basic_3_cycles,
+    brute_basic_4_cycles,
+    brute_basic_5_cycles,
+    brute_cycles,
+    brute_exact_cover,
+    brute_simplexes,
+    graphs,
+    sparse_graphs,
+)
 
 from graphcm.complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph
 from graphcm.graph import Graph, INFINITY, PreconditionError, complete_bipartite, complete_graph, cycle_graph, path_graph
@@ -203,3 +212,129 @@ def test_classify_reports():
 def test_certificates_render():
     assert "S[" in recognize_sqc(path_graph(4)).to_text()
     assert "C5=" in recognize_pc(cycle_graph(5)).to_text()
+
+
+# -- basic cycles and partition classes against the brute-force oracles ------
+
+
+def _atlas():
+    import networkx as nx
+
+    return [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+
+
+def _assert_basic_cycles_match(g):
+    assert basic_5_cycles(g) == brute_basic_5_cycles(g)
+    assert basic_4_cycles(g) == brute_basic_4_cycles(g)
+    assert basic_3_cycles(g) == brute_basic_3_cycles(g)
+
+
+def test_basic_cycles_match_oracle_on_atlas():
+    from graphcm.recognition import _has_cycle_of_length
+
+    for g in _atlas():
+        _assert_basic_cycles_match(g)
+        for length in (3, 4, 5):
+            assert _has_cycle_of_length(g, length) == bool(brute_cycles(g, length))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(min_n=1, max_n=12))
+def test_basic_cycles_match_oracle(g):
+    _assert_basic_cycles_match(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(min_n=1, max_n=12))
+def test_basic_cycles_match_oracle_sparse(g):
+    _assert_basic_cycles_match(g)
+
+
+def test_basic_cycles_edge_cases():
+    # paw: the triangle's two degree-2 vertices share their other
+    # neighbour, so their edge closes no 4- or 5-cycle
+    paw = catalog("paw")
+    assert basic_4_cycles(paw) == [] and basic_5_cycles(paw) == []
+    _assert_basic_cycles_match(paw)
+    # C4: every edge is a degree-2 pair; none qualifies in C4 itself, and
+    # with every vertex allowed all four do, in the order of k
+    from graphcm.recognition import _basic_4_cycles
+
+    c4 = cycle_graph(4)
+    _assert_basic_cycles_match(c4)
+    all_four = _basic_4_cycles(c4, c4.full_mask)
+    assert all_four == brute_basic_4_cycles(c4, allowed=c4.full_mask)
+    assert [pair for _cyc, pair in all_four] == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    k2 = complete_graph(2)
+    _assert_basic_cycles_match(k2)
+    # string labels: cycles come in index order, not label order.  The
+    # 4-cycle x-y-a-s has a on the basic 5-cycle and s in the simplex {s, t}
+    named = Graph.from_edges(list("edcbayxst"), [tuple(e) for e in "ab bc cd de ea xy ya as sx st".split()])
+    assert basic_5_cycles(named) == [("e", "d", "c", "b", "a")]
+    assert basic_4_cycles(named) == [(("a", "y", "x", "s"), ("y", "x"))]
+    _assert_basic_cycles_match(named)
+    cert = recognize_sqc(named)
+    assert (cert.m, cert.s, cert.t) == (1, 1, 1) and cert.validate(named)
+    _assert_basic_cycles_match(Q_GRAPH)
+
+
+def _oracle_classes(g):
+    """SQC, SC and PC membership from the oracle's pieces."""
+    simplexes = brute_simplexes(g)
+    fives = [g.mask_of(c) for c in brute_basic_5_cycles(g)]
+    pairs = [g.mask_of(pair) for _cyc, pair in brute_basic_4_cycles(g)]
+    sqc = brute_exact_cover(g.full_mask, simplexes + fives + pairs)
+    sc = brute_exact_cover(g.full_mask, simplexes + fives)
+    pendant = [
+        1 << u | 1 << v
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if g.adj[u] >> v & 1 and 1 in (g.adj[u].bit_count(), g.adj[v].bit_count())
+    ]
+    p_mask = c_mask = 0
+    for m in pendant:
+        p_mask |= m
+    for m in fives:
+        c_mask |= m
+    # every pendant edge is in the matching, so they must be disjoint
+    pc = (
+        sum(m.bit_count() for m in pendant) == p_mask.bit_count()
+        and p_mask & c_mask == 0
+        and p_mask | c_mask == g.full_mask
+        and brute_exact_cover(c_mask, fives)
+    )
+    return sqc, sc, pc
+
+
+def _assert_classes_match(g):
+    want = _oracle_classes(g)
+    for rec, expected in zip((recognize_sqc, recognize_sc, recognize_pc), want):
+        cert = rec(g)
+        assert (cert is not None) == expected, rec.__name__
+        if cert is not None:
+            assert cert.validate(g), rec.__name__
+
+
+def test_partition_classes_match_oracle_on_atlas():
+    for g in _atlas():
+        _assert_classes_match(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(min_n=1, max_n=10))
+def test_partition_classes_match_oracle(g):
+    _assert_classes_match(g)
+
+
+def test_basic_5_cycles_listed_once_per_call(monkeypatch):
+    import graphcm.recognition as rec
+
+    calls = []
+    real = rec.basic_5_cycles
+    monkeypatch.setattr(rec, "basic_5_cycles", lambda g: calls.append(g) or real(g))
+    c5 = cycle_graph(5)
+    sqc, pc = recognize_sqc(c5), recognize_pc(c5)
+    for step in (lambda: recognize_sqc(Q_GRAPH), lambda: sqc.validate(c5), lambda: pc.validate(c5)):
+        calls.clear()
+        step()
+        assert len(calls) == 1
