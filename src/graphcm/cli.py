@@ -72,8 +72,6 @@ def _emit_graph(g: Graph, fmt: str) -> str:
 def _cmd_analyze(args) -> int:
     g = _read_graph(args)
     report = recognition.classify(g, _fields(args))
-    # both renderings are the same stable key-value document; "structured"
-    # is the contract name for diffable output
     _write_out(args, report.to_text())
     return 0
 
@@ -203,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full classification report for one graph")
     _add_input_options(p)
     p.add_argument("--fields", help="comma-separated characteristics, default 0,2")
-    p.add_argument("--format", default="human", choices=("human", "structured"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze)
 

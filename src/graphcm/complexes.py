@@ -11,7 +11,7 @@ the complex {emptyset} and a pair of points all count as Gorenstein.
 
 All homology is exact and per field characteristic.  Faces are bitmasks
 over vertex positions.  Over GF(2) the boundary ranks come from bitset
-elimination, over GF(p) from dense elimination mod p.  Over Q the ranks
+elimination, over GF(p) from sparse elimination mod p.  Over Q the ranks
 are certified for the chain complex as a whole (see ``_rational_ranks``):
 ranks mod primes bound each rational rank from below, d*d = 0 bounds it
 from above through its neighbours, and a rank whose bounds meet is exact.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from multiprocessing import get_context
 
 from . import recognition
 from .canon import is_isomorphic
@@ -27,7 +26,7 @@ from .complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph, is_gorenstein_gra
 from .decomposability import is_vertex_decomposable
 from .families import gen_G
 from .graph import Graph, GraphInputError, INFINITY, UnsupportedSizeError
-from .graphio import read_graph6_file, to_graph6
+from .graphio import from_graph6, read_graph6_file, to_graph6
 from .independence import is_w2, is_well_covered
 from .planarity import is_planar
 from .recognition import (
@@ -52,7 +51,6 @@ class EnumFilter:
     planar_only: bool = False
     block_cactus_only: bool = False
     cactus_only: bool = False
-    connected_only: bool = True
 
     def __post_init__(self):
         if self.min_girth is not None and self.max_girth is not None:
@@ -85,7 +83,7 @@ class EnumFilter:
         return True
 
     def passes(self, g: Graph) -> bool:
-        if self.connected_only and not g.is_connected():
+        if not g.is_connected():
             return False
         if self.max_girth is not None and not g.girth() <= self.max_girth:
             return False
@@ -125,21 +123,21 @@ def _level(n: int, filt: EnumFilter):
     return out
 
 
-def enumerate_connected(n: int, filt: EnumFilter = EnumFilter(), hard_cap: int = HARD_CAP):
+def enumerate_connected(n: int, filt: EnumFilter = EnumFilter()):
     """Every connected graph on exactly n vertices satisfying the filter,
     exactly once up to isomorphism."""
     if n < 1:
         return
-    if n > hard_cap:
-        raise UnsupportedSizeError(f"enumeration capped at {hard_cap} vertices (got {n})")
+    if n > HARD_CAP:
+        raise UnsupportedSizeError(f"enumeration capped at {HARD_CAP} vertices (got {n})")
     for g in _level(n, filt):
         if filt.passes(g):
             yield g
 
 
-def enumerate_connected_upto(n_max: int, filt: EnumFilter = EnumFilter(), hard_cap: int = HARD_CAP):
+def enumerate_connected_upto(n_max: int, filt: EnumFilter = EnumFilter()):
     for n in range(1, n_max + 1):
-        yield from enumerate_connected(n, filt, hard_cap)
+        yield from enumerate_connected(n, filt)
 
 
 def connected_counts(n_max: int) -> list:
@@ -317,8 +315,6 @@ def default_n_max(theorem_id: str) -> int:
 
 def _check_one(args):
     theorem_id, g6, chars = args
-    from .graphio import from_graph6
-
     g = from_graph6(g6)
     pred = _THEOREMS[theorem_id][3]
     return g6 if not pred(g, chars) else None
@@ -366,6 +362,10 @@ def verify_theorem(
 
     checked = len(stream)
     if workers > 1:
+        # imported only here: multiprocessing and what it loads (pickle,
+        # socket, selectors) are about 1 MB of every process's memory
+        from multiprocessing import get_context
+
         jobs = [(theorem_id, to_graph6(g), chars) for g in stream]
         ctx = get_context("fork")
         with ctx.Pool(workers) as pool:
@@ -377,8 +377,6 @@ def verify_theorem(
     # CM means CM over every configured field; a counterexample that is CM
     # over some fields but not others is a finding worth calling out
     for g6 in bad:
-        from .graphio import from_graph6
-
         verdicts = {c: is_cm_graph(from_graph6(g6), c) for c in chars}
         if len(set(verdicts.values())) > 1:
             notes.append(f"field-dependent CM for {g6}: {verdicts}")

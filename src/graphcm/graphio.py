@@ -13,7 +13,7 @@ any plain reader skips as comments.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphInputError, bits
+from .graph import MAX_VERTICES, Graph, GraphInputError, UnsupportedSizeError, bits
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -84,6 +84,8 @@ def from_graph6(text: str) -> Graph:
             line=1,
             column=pos + 1,
         )
+    if n > MAX_VERTICES:
+        raise UnsupportedSizeError(f"graphs are limited to {MAX_VERTICES} vertices, got {n}")
     bitstream = 0
     for ch in data:
         bitstream = bitstream << 6 | (ord(ch) - 63)
@@ -96,7 +98,8 @@ def from_graph6(text: str) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             k += 1
-    return Graph(tuple(range(n)), tuple(adj))
+    # decoding gives distinct labels, no loops and a symmetric adjacency
+    return Graph._unchecked(tuple(range(n)), tuple(adj))
 
 
 def read_graph6_lines(lines) -> list:

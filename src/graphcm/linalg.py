@@ -1,7 +1,7 @@
 """Exact rank computations for boundary matrices.
 
-Characteristic 2 uses bitset columns; other primes use dense elimination
-mod p, in int64 while (p-1)**2 fits and in Python integers beyond that.
+Characteristic 2 uses bitset columns; other primes use sparse elimination
+mod p on {column: residue} dicts, in Python integers, so any prime works.
 
 Over Q, ranks are certified rather than eliminated.  For an integer
 matrix and any prime p, rank over Q >= rank mod p, because a minor that
@@ -15,7 +15,7 @@ LARGE_PRIME stays below the bound it is given.
 
 from __future__ import annotations
 
-LARGE_PRIME = 2147483647  # fits int64 arithmetic: p * p < 2**63
+LARGE_PRIME = 2147483647  # 2**31 - 1, the prime for the char-0 lower bounds
 
 
 def rank_gf2(columns) -> int:
@@ -36,34 +36,29 @@ def rank_gf2(columns) -> int:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix (list of rows) modulo a prime p."""
-    if not rows or not rows[0]:
-        return 0
-    # imported here, on the only path that needs it: numpy is most of the
-    # package's import time and memory, and GF(2) ranks do without it
-    import numpy as np
+    """Rank of an integer matrix (list of rows) modulo a prime p.
 
-    # products of two residues must not overflow int64
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    a = np.array(rows, dtype=dtype) % p
-    m, ncol = a.shape
-    r = 0
-    for c in range(ncol):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        f = a[r + 1 :, c]
-        if f.any():
-            a[r + 1 :, c:] = (a[r + 1 :, c:] - f[:, None] * a[r, c:]) % p
-        r += 1
-    return r
+    Each row becomes a {column: residue} dict of its non-zero residues and
+    is reduced, as in rank_gf2, against one stored vector per pivot (its
+    highest column), scaled so that the pivot entry is 1."""
+    pivots = {}
+    for row in rows:
+        cur = {j: r for j, x in enumerate(row) if (r := x % p)}
+        while cur:
+            b = max(cur)
+            piv = pivots.get(b)
+            if piv is None:
+                inv = pow(cur[b], p - 2, p)
+                pivots[b] = {j: r * inv % p for j, r in cur.items()}
+                break
+            f = cur[b]
+            for j, x in piv.items():
+                r = (cur.get(j, 0) - f * x) % p
+                if r:
+                    cur[j] = r
+                else:  # j is in cur: f and x are units mod p
+                    del cur[j]
+    return len(pivots)
 
 
 def rank_bareiss(rows) -> int:

@@ -82,6 +82,12 @@ def test_enumerate_has_no_workers_option(capsys):
     assert code == 2
 
 
+def test_analyze_has_no_format_option(capsys):
+    # analyze has one rendering, already stable and diffable
+    code, _, _ = run(capsys, "analyze", "--g6", "Dhc", "--format", "structured")
+    assert code == 2
+
+
 def test_verify_reports(capsys, tmp_path):
     out_path = tmp_path / "t3.txt"
     code, _, _ = run(capsys, "verify", "T3", "--nmax", "6", "--out", str(out_path))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from conftest import graphs, to_nx
 
 from graphcm import graphio
-from graphcm.graph import Graph, complete_graph, cycle_graph
+from graphcm.graph import Graph, UnsupportedSizeError, complete_graph, cycle_graph
 from graphcm.graphio import ParseError, from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
 from graphcm.families import catalog, gen_G
 
@@ -42,6 +42,14 @@ def test_graph6_parse_errors():
         from_graph6("D c")  # embedded space is out of range
     with pytest.raises(ParseError):
         from_graph6("Dh")  # truncated body
+
+
+def test_graph6_vertex_cap():
+    assert from_graph6(to_graph6(Graph.empty(64))).n == 64
+    n = 65
+    s = chr(126) + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0)) + "?" * ((n * (n - 1) // 2 + 5) // 6)
+    with pytest.raises(UnsupportedSizeError):
+        from_graph6(s)
 
 
 def test_edge_list_round_trip_plain():

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_rank, modp_rank
 
-from graphcm import linalg
+import graphcm
+from graphcm import complexes, linalg
+from graphcm.families import gen_G
 
 matrices = st.integers(1, 6).flatmap(
     lambda ncol: st.lists(st.lists(st.integers(-3, 3), min_size=ncol, max_size=ncol), min_size=1, max_size=6)
@@ -32,3 +38,33 @@ def test_rank_char0_matches_fractions(rows):
     assert linalg.rank_char0(rows, min(len(rows), len(rows[0]))) == r
     assert linalg.rank_char0(rows, r) == r
     assert linalg.rank_bareiss(rows) == r
+
+
+def test_rank_mod_p_on_boundary_maps():
+    # real boundary maps fill in during elimination, unlike small random
+    # matrices; the transpose must have the same rank
+    for k in (4, 5):
+        cards = complexes._independent_masks_by_card(gen_G(k))
+        for c in range(1, len(cards)):
+            cols = complexes._boundary_columns(cards[c - 1], cards[c])
+            rows = complexes._dense_rows(cols, len(cards[c - 1]))
+            for p in (3, linalg.LARGE_PRIME):
+                r = modp_rank(rows, p)
+                assert linalg.rank_mod_p(rows, p) == r
+                assert linalg.rank_mod_p([list(col) for col in zip(*rows)], p) == r
+
+
+def test_verdicts_need_only_the_standard_library():
+    code = """
+import sys
+from graphcm import gen_G, gen_H, is_cm_graph, is_gorenstein_graph
+from graphcm.graph import cycle_graph
+for g, cm, gor in ((gen_G(4), True, True), (gen_H(4), True, False), (cycle_graph(7), False, False)):
+    for char in (0, 2, 3):
+        assert is_cm_graph(g, char) is cm and is_gorenstein_graph(g, char) is gor
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    src = os.path.dirname(os.path.dirname(graphcm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
