@@ -340,10 +340,12 @@ def _dense_rows(cols, nrows):
     return rows
 
 
-def _rank_mod(cols, nrows: int, p: int) -> int:
+def _rank_mod(cols, p: int) -> int:
     """Rank modulo the prime p of a map given by _boundary_columns."""
     if p != 2:
-        return linalg.rank_mod_p(_dense_rows(cols, nrows), p)
+        return linalg.rank_mod_p_sparse(
+            ({i: -1 if t & 1 else 1 for t, i in enumerate(col)} for col in cols), p
+        )
     masks = []
     for col in cols:
         mask = 0
@@ -378,7 +380,7 @@ def _rational_ranks(sizes, cols) -> list:
        settling the bounds again after each exact rank.
     """
     top = len(sizes) - 2
-    lo = [0] + [_rank_mod(cols[c], sizes[c - 1], 2) for c in range(1, top + 1)] + [0]
+    lo = [0] + [_rank_mod(cols[c], 2) for c in range(1, top + 1)] + [0]
     hi = [0] + [min(sizes[c - 1], sizes[c]) for c in range(1, top + 1)] + [0]
 
     def settle():
@@ -390,7 +392,7 @@ def _rational_ranks(sizes, cols) -> list:
 
     open_maps = settle()
     for c in open_maps:
-        lo[c] = max(lo[c], _rank_mod(cols[c], sizes[c - 1], linalg.LARGE_PRIME))
+        lo[c] = max(lo[c], _rank_mod(cols[c], linalg.LARGE_PRIME))
     open_maps = settle()
     while open_maps:
         c = open_maps[0]
@@ -412,7 +414,7 @@ def _profile_from_cards(faces_by_card, char: int) -> tuple:
     if char == 0:
         ranks = _rational_ranks(sizes, cols)
     else:
-        ranks = [0] + [_rank_mod(cols[c], sizes[c - 1], char) for c in range(1, top + 1)] + [0]
+        ranks = [0] + [_rank_mod(cols[c], char) for c in range(1, top + 1)] + [0]
     return tuple(sizes[c] - ranks[c] - ranks[c + 1] for c in range(top + 1))
 
 

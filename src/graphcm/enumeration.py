@@ -9,6 +9,28 @@ closed under deleting a non-cut vertex (girth lower bounds, forbidden
 short cycles, planarity, block-cactus, cactus) prune during generation;
 girth upper bounds only apply to the finished graphs.
 
+A filtered level never builds a child its filters reject, apart from
+planarity.  A new vertex v joined to the set S of a connected parent
+creates exactly the cycles v-a-...-b-v, where a, b are in S and a...b is a
+path in the parent, and the parent already passes the filter.  So
+``EnumFilter.admissible_masks`` decides each filter on S alone:
+
+* girth >= k (k >= 4): every pair of S at distance >= k-2 in the parent;
+* no 4-cycle: no two vertices of S with a common neighbour;
+* no 5-cycle: no two vertices of S joined by a path a-x-y-b on four
+  distinct vertices;
+* cactus: S is one vertex, or a pair whose a-b path consists of bridges
+  only (then the new block is a cycle);
+* block-cactus: as cactus, or S is the vertex set of a complete block with
+  at least 3 vertices (then S + v is a clique).
+
+The first three are pairwise conflicts, so S ranges over the independent
+sets of a conflict graph on the parent; the cactus candidates are filtered
+by the same conflicts.  Planarity has no such local rule (joining v can
+complete a Kuratowski subdivision anywhere), so it is still tested on the
+child.  Masks come in increasing order, as the loop over every subset
+visited them, so each level lists the same graphs in the same order.
+
 Levels are cached per hereditary-filter signature, so repeated suites over
 the same class reuse one generation pass.  Verification is embarrassingly
 parallel over the enumerated stream: counterexample lists are sorted, so
@@ -18,14 +40,14 @@ results do not depend on worker count or stream order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import recognition
 from .canon import is_isomorphic
 from .complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .families import gen_G
-from .graph import Graph, GraphInputError, INFINITY, UnsupportedSizeError
+from .graph import Graph, GraphInputError, UnsupportedSizeError, bits
 from .graphio import from_graph6, read_graph6_file, to_graph6
 from .independence import is_w2, is_well_covered
 from .planarity import is_planar
@@ -78,9 +100,69 @@ class EnumFilter:
             return False
         if self.cactus_only and not is_cactus(g):
             return False
-        if self.planar_only and not is_planar(g, max_n=max(HARD_CAP, g.n)):
+        if self.planar_only and not _is_planar(g):
             return False
         return True
+
+    def admissible_masks(self, g: Graph):
+        """The neighbour masks S, in increasing order, for which joining a
+        new vertex to S keeps the connected parent g, which passes the
+        filter, inside every hereditary class but the planar one.
+
+        Every cycle through the new vertex v is v-a-P-b-v with a, b in S and
+        P an a-b path in g, so each filter is a rule on S (module docstring):
+        girth >= k forbids pairs at distance < k-2, no C4 forbids pairs with
+        a common neighbour, no C5 forbids pairs joined by a path a-x-y-b.
+        Under the cactus filters v gets degree 2 in its block unless that
+        block is S + v complete; the block is a cycle exactly when S = {a, b}
+        and the a-b path in g runs over bridges only, and S + v is a clique
+        exactly when S is a whole complete block of g."""
+        n, adj = g.n, g.adj
+        conflict = [0] * n
+        k = self.min_girth
+        for a in range(n):
+            own = 1 << a
+            if k is not None and k > 3:
+                conflict[a] = _ball(adj, a, k - 3)
+            for x in bits(adj[a]):
+                if self.forbid_c4:
+                    conflict[a] |= adj[x]
+                if self.forbid_c5:
+                    for y in bits(adj[x] & ~own):
+                        conflict[a] |= adj[y] & ~(1 << x)
+            conflict[a] &= ~own
+        if self.cactus_only or self.block_cactus_only:
+            return [s for s in self._cactus_candidates(g) if all(not s & conflict[a] for a in bits(s))]
+        if not any(conflict):
+            return range(1, 1 << n)
+        sets = [0]
+        for a in range(n):
+            # sets holds the independent subsets of 0..a-1 in increasing
+            # order, and every new set is above all of them
+            sets += [s | 1 << a for s in sets if not s & conflict[a]]
+        return sets[1:]
+
+    def _cactus_candidates(self, g: Graph) -> list:
+        n, adj = g.n, g.adj
+        blocks = [g.mask_of(b) for b in g.blocks().blocks]
+        bridge = [0] * n
+        for b in blocks:
+            if b.bit_count() == 2:
+                for a in bits(b):
+                    bridge[a] |= b & ~(1 << a)
+        out = [1 << a for a in range(n)]
+        for a in range(n):
+            # the bridges alone form a forest: b is reachable over bridges
+            # from a iff the a-b path of g runs over bridges only
+            reach = _ball(bridge, a, n)
+            out += [1 << a | 1 << b for b in bits(reach >> (a + 1) << (a + 1))]
+        if not self.cactus_only:
+            out += [
+                b
+                for b in blocks
+                if b.bit_count() >= 3 and all(adj[a] & b == b & ~(1 << a) for a in bits(b))
+            ]
+        return sorted(out)
 
     def passes(self, g: Graph) -> bool:
         if not g.is_connected():
@@ -88,6 +170,28 @@ class EnumFilter:
         if self.max_girth is not None and not g.girth() <= self.max_girth:
             return False
         return self.passes_hereditary(g)
+
+
+def _ball(adj, a: int, radius) -> int:
+    """Mask of the vertices within distance radius of a over the rows adj."""
+    reach = frontier = 1 << a
+    while frontier and radius > 0:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~reach
+        reach |= frontier
+        radius -= 1
+    return reach
+
+
+def _check_cap(n: int):
+    if n > HARD_CAP:
+        raise UnsupportedSizeError(f"enumeration capped at {HARD_CAP} vertices (got {n})")
+
+
+def _is_planar(g: Graph) -> bool:
+    return is_planar(g, max_n=max(HARD_CAP, g.n))
 
 
 # level cache: (hereditary key, n) -> tuple of graphs on exactly n vertices
@@ -110,9 +214,9 @@ def _level(n: int, filt: EnumFilter):
         seen = set()
         out = []
         for g in prev:
-            for nbr_mask in range(1, 1 << (n - 1)):
+            for nbr_mask in filt.admissible_masks(g):
                 h = g._extend(nbr_mask)
-                if not filt.passes_hereditary(h):
+                if filt.planar_only and not _is_planar(h):
                     continue
                 c = h.canonical_form()
                 if c not in seen:
@@ -128,8 +232,7 @@ def enumerate_connected(n: int, filt: EnumFilter = EnumFilter()):
     exactly once up to isomorphism."""
     if n < 1:
         return
-    if n > HARD_CAP:
-        raise UnsupportedSizeError(f"enumeration capped at {HARD_CAP} vertices (got {n})")
+    _check_cap(n)
     for g in _level(n, filt):
         if filt.passes(g):
             yield g
@@ -142,6 +245,7 @@ def enumerate_connected_upto(n_max: int, filt: EnumFilter = EnumFilter()):
 
 def connected_counts(n_max: int) -> list:
     """Number of connected graphs on 1..n_max vertices, up to isomorphism."""
+    _check_cap(n_max)
     return [len(_level(n, EnumFilter())) for n in range(1, n_max + 1)]
 
 

@@ -1,7 +1,9 @@
 """Exact rank computations for boundary matrices.
 
 Characteristic 2 uses bitset columns; other primes use sparse elimination
-mod p on {column: residue} dicts, in Python integers, so any prime works.
+mod p on {index: residue} dicts, in Python integers, so any prime works.
+Both take the boundary columns as they are built, with no dense matrix in
+between; ``rank_mod_p`` is the same elimination for dense rows.
 
 Over Q, ranks are certified rather than eliminated.  For an integer
 matrix and any prime p, rank over Q >= rank mod p, because a minor that
@@ -35,15 +37,17 @@ def rank_gf2(columns) -> int:
     return rank
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix (list of rows) modulo a prime p.
+def rank_mod_p_sparse(vectors, p: int) -> int:
+    """Rank modulo a prime p of the integer vectors given as {index: value}
+    dicts.  They may be the rows or the columns of a matrix: a matrix and
+    its transpose have the same rank.
 
-    Each row becomes a {column: residue} dict of its non-zero residues and
-    is reduced, as in rank_gf2, against one stored vector per pivot (its
-    highest column), scaled so that the pivot entry is 1."""
+    Each vector keeps its non-zero residues and is reduced, as in rank_gf2,
+    against one stored vector per pivot (its highest index), scaled so that
+    the pivot entry is 1."""
     pivots = {}
-    for row in rows:
-        cur = {j: r for j, x in enumerate(row) if (r := x % p)}
+    for vec in vectors:
+        cur = {j: r for j, x in vec.items() if (r := x % p)}
         while cur:
             b = max(cur)
             piv = pivots.get(b)
@@ -59,6 +63,11 @@ def rank_mod_p(rows, p: int) -> int:
                 else:  # j is in cur: f and x are units mod p
                     del cur[j]
     return len(pivots)
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of an integer matrix (list of dense rows) modulo a prime p."""
+    return rank_mod_p_sparse((dict(enumerate(row)) for row in rows), p)
 
 
 def rank_bareiss(rows) -> int:

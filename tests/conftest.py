@@ -224,6 +224,31 @@ def brute_exact_cover(universe: int, masks) -> bool:
     return rec(0, 0)
 
 
+_BRUTE_LEVELS = {}
+
+
+def brute_level(n: int, filt):
+    """The connected graphs on n vertices in the filter's hereditary class,
+    grown as a plain loop: every non-empty neighbour mask of every graph of
+    the level below, the whole filter tested on the child, then a dedup on
+    the canonical form.  Same order as ``enumeration._level``."""
+    key = (filt.hereditary_key(), n)
+    if key not in _BRUTE_LEVELS:
+        if n == 1:
+            out = [Graph.empty(1)] if filt.passes_hereditary(Graph.empty(1)) else []
+        else:
+            seen = set()
+            out = []
+            for g in brute_level(n - 1, filt):
+                for mask in range(1, 1 << (n - 1)):
+                    h = g._extend(mask)
+                    if filt.passes_hereditary(h) and h.canonical_form() not in seen:
+                        seen.add(h.canonical_form())
+                        out.append(h)
+        _BRUTE_LEVELS[key] = out
+    return _BRUTE_LEVELS[key]
+
+
 # -- hypothesis strategies ---------------------------------------------------------
 
 

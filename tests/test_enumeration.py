@@ -1,6 +1,10 @@
 import itertools
+import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcm.canon import canonical_form, is_isomorphic
 from graphcm.graph import Graph, UnsupportedSizeError, cycle_graph, path_graph, complete_graph
@@ -157,3 +161,113 @@ def test_enumeration_matches_networkx_atlas():
             atlas_counts[h.number_of_nodes()] = atlas_counts.get(h.number_of_nodes(), 0) + 1
     ours = connected_counts(7)
     assert ours == [atlas_counts[n] for n in range(1, 8)]
+
+
+# -- generation from admissible neighbour sets -----------------------------------
+
+
+def _theorem_filters():
+    from graphcm.enumeration import _THEOREMS
+
+    out = {}
+    for tid, (_, filt, _, _) in _THEOREMS.items():
+        if filt is not None:
+            out.setdefault(filt.hereditary_key(), (tid, filt))
+    return list(out.values())
+
+
+_MIXED_FILTERS = {
+    "cactus_c4": EnumFilter(cactus_only=True, forbid_c4=True),
+    "block_cactus_g4": EnumFilter(block_cactus_only=True, min_girth=4),
+    "c5": EnumFilter(forbid_c5=True),
+    "girth3": EnumFilter(min_girth=3),
+    "girth7": EnumFilter(min_girth=7),
+}
+
+
+def _brute_depth(filt):
+    if filt.min_girth is not None and filt.min_girth >= 5:
+        return 9
+    # every connected graph: a brute level 8 alone costs as much as the
+    # generator self-test, and every subset is admissible anyway
+    return 6 if filt in (EnumFilter(), EnumFilter(min_girth=3)) else 8
+
+
+@pytest.mark.parametrize(
+    "filt",
+    [f for _, f in _theorem_filters()] + list(_MIXED_FILTERS.values()),
+    ids=[tid for tid, _ in _theorem_filters()] + list(_MIXED_FILTERS),
+)
+def test_levels_match_brute_level(filt):
+    from conftest import brute_level
+    from graphcm.enumeration import _level
+
+    for n in range(1, _brute_depth(filt) + 1):
+        got = [to_graph6(g) for g in _level(n, filt)]
+        assert got == [to_graph6(g) for g in brute_level(n, filt)], n
+
+
+_STRICTER = [{"min_girth": k} for k in (3, 4, 5, 6, 7)] + [
+    {"forbid_c4": True},
+    {"forbid_c5": True},
+    {"block_cactus_only": True},
+    {"cactus_only": True},
+]
+
+
+@st.composite
+def _filter_and_parent(draw):
+    """A connected graph glued from random cliques and cycles, with up to
+    three extra edges, and a filter without planarity that it passes: each
+    drawn restriction is kept only if the graph still passes."""
+    n_max = draw(st.integers(1, 9))
+    edges, n = [], 1
+    while n < n_max:
+        new = [draw(st.integers(0, n - 1))] + list(range(n, n + draw(st.integers(1, min(5, n_max - n)))))
+        if draw(st.booleans()):
+            edges += list(itertools.combinations(new, 2))
+        else:
+            edges += list(zip(new, new[1:] + new[:1])) if len(new) > 2 else [tuple(new)]
+        n = new[-1] + 1
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph.from_edges(n, edges + (draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []))
+    filt = EnumFilter()
+    for change in draw(st.lists(st.sampled_from(_STRICTER))):
+        if replace(filt, **change).passes_hereditary(g):
+            filt = replace(filt, **change)
+    return filt, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filter_and_parent())
+def test_admissible_masks_are_the_passing_extensions(case):
+    filt, g = case
+    assert filt.passes_hereditary(g)
+    want = [s for s in range(1, 1 << g.n) if filt.passes_hereditary(g._extend(s))]
+    assert list(filt.admissible_masks(g)) == want
+
+
+def test_filtered_level_counts():
+    from graphcm.enumeration import _level
+
+    table = [
+        (EnumFilter(min_girth=5), [1, 1, 1, 2, 4, 8, 18, 47, 137, 464, 1793]),
+        (EnumFilter(min_girth=6), [1, 1, 1, 2, 3, 7, 13, 31, 71, 198]),
+        (EnumFilter(forbid_c4=True, forbid_c5=True), [1, 1, 2, 3, 7, 17, 44, 123, 387]),
+        # OEIS A000083
+        (EnumFilter(cactus_only=True), [1, 1, 2, 4, 9, 23, 63, 188, 596, 1979]),
+        (EnumFilter(block_cactus_only=True), [1, 1, 2, 5, 11, 29, 82, 254, 828]),
+        (EnumFilter(min_girth=4, planar_only=True), [1, 1, 1, 3, 6, 18, 55, 230, 1063]),
+    ]
+    for filt, counts in table:
+        # girth >= 5 at n = 11 is read past HARD_CAP through the level itself
+        assert [len(_level(n, filt)) for n in range(1, len(counts) + 1)] == counts, filt
+
+
+def test_connected_counts_respects_the_cap():
+    from graphcm.enumeration import HARD_CAP
+
+    start = time.monotonic()
+    with pytest.raises(UnsupportedSizeError):
+        connected_counts(HARD_CAP + 1)
+    assert time.monotonic() - start < 1

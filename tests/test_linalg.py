@@ -68,3 +68,15 @@ assert "numpy" not in sys.modules, "numpy was imported"
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_boundary_columns_ranked_without_densifying():
+    # _rank_mod hands the signed boundary columns to the sparse entry
+    # directly; its ranks must equal the oracle's on the dense rows
+    for k in (4, 5):
+        cards = complexes._independent_masks_by_card(gen_G(k))
+        for c in range(1, len(cards)):
+            cols = complexes._boundary_columns(cards[c - 1], cards[c])
+            rows = complexes._dense_rows(cols, len(cards[c - 1]))
+            for p in (2, 3, linalg.LARGE_PRIME):
+                assert complexes._rank_mod(cols, p) == modp_rank(rows, p)
