@@ -15,11 +15,10 @@ import argparse
 import sys
 
 from . import enumeration, families, graphio, recognition
-from .complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph, parse_fields
+from .complexes import DEFAULT_FIELDS, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph, parse_fields
 from .decomposability import is_vertex_decomposable
 from .graph import Graph, GraphInputError, INFINITY
 from .independence import is_w2, is_well_covered
-from .planarity import is_planar
 
 
 def _add_input_options(p):

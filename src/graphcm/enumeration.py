@@ -100,7 +100,7 @@ class EnumFilter:
             return False
         if self.cactus_only and not is_cactus(g):
             return False
-        if self.planar_only and not _is_planar(g):
+        if self.planar_only and not is_planar(g):
             return False
         return True
 
@@ -190,10 +190,6 @@ def _check_cap(n: int):
         raise UnsupportedSizeError(f"enumeration capped at {HARD_CAP} vertices (got {n})")
 
 
-def _is_planar(g: Graph) -> bool:
-    return is_planar(g, max_n=max(HARD_CAP, g.n))
-
-
 # level cache: (hereditary key, n) -> tuple of graphs on exactly n vertices
 _LEVELS: dict = {}
 
@@ -216,7 +212,7 @@ def _level(n: int, filt: EnumFilter):
         for g in prev:
             for nbr_mask in filt.admissible_masks(g):
                 h = g._extend(nbr_mask)
-                if filt.planar_only and not _is_planar(h):
+                if filt.planar_only and not is_planar(h):
                     continue
                 c = h.canonical_form()
                 if c not in seen:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .complexes import DEFAULT_FIELDS, is_cm_graph
-from .graph import Graph, GraphInputError, INFINITY, PreconditionError, complete_graph, cycle_graph, path_graph
+from .graph import Graph, GraphInputError, PreconditionError, complete_graph, cycle_graph, path_graph
 from .graphio import from_edge_list
 from .independence import is_well_covered
 from .recognition import recognize_pc

@@ -14,7 +14,7 @@ graphs can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 MAX_VERTICES = 64
@@ -267,9 +267,6 @@ class Graph:
             comps.append(comp)
             seen |= comp
         return comps
-
-    def component_subgraphs(self) -> list:
-        return [self.keep_mask(mask) for mask in self.component_masks()]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1

@@ -1,92 +1,120 @@
-"""Planarity for small graphs by exhaustive Kuratowski subdivision search.
+"""Exact planarity in polynomial time: blocks, then path addition.
 
-Not a linear-time embedder: after Euler-formula edge-count pruning the test
-simply looks for a subdivision of K5 or K33 (branch vertices plus
-internally-disjoint linking paths).  Exact for every input, intended for
-the bounded sizes this package works at.
+*Degree shortcut.*  By Kuratowski's theorem a graph is planar iff it
+contains no subdivision of K5 or K3,3.  A K5 subdivision has 5 branch
+vertices of degree >= 4 and a K3,3 subdivision 6 of degree >= 3, so a
+graph with fewer than 5 vertices of degree >= 4 and fewer than 6 of
+degree >= 3 is planar.
+
+*Blocks.*  A graph is planar iff each of its blocks is: a Kuratowski
+subdivision is 2-connected, so it lies inside one block, and plane
+embeddings of the blocks glue at cut vertices.  Each block is first held
+to the Euler bound m <= 3n - 6 and the degree shortcut (on its own
+degrees), then decided by path addition (Demoucron, Malgrange and
+Pertuiset, 1964).
+
+*Path addition.*  Start from a cycle H of the 2-connected block B, drawn
+with two faces.  A *fragment* (an H-bridge) is either a chord, an edge of
+B - E(H) with both ends in H, or a component of B - V(H) with its edges
+to H; its *attachments* are its vertices in H, at least two because B is
+2-connected.  A face *fits* a fragment when its boundary holds every
+attachment.  The invariant is: if B is planar, some plane embedding of B
+extends the drawing of H.  Then a fragment that fits no face proves B
+non-planar, since each fragment lies inside one face of H.  Otherwise
+draw a path of a fragment between two of its attachments through a face
+that fits it; the path splits the face in two.  The choice keeps the
+invariant: a fragment that fits exactly one face has to go there, and when
+every fragment fits at least two faces, any of them may go into any face
+that fits it (Demoucron, Malgrange and Pertuiset; see Bondy and Murty,
+*Graph Theory with Applications*, 1976, chapter 9).  H stays 2-connected,
+so each face is a cycle, kept as its vertex list and vertex mask.  Every
+step draws an edge, so at most m steps of O(n + m) mask work decide B.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .graph import Graph, INFINITY, UnsupportedSizeError, bits
-
-DEFAULT_MAX_N = 12
+from .graph import Graph, bits
 
 
-def is_planar(g: Graph, max_n: int = DEFAULT_MAX_N) -> bool:
-    if g.n > max_n:
-        raise UnsupportedSizeError(
-            f"planarity test limited to {max_n} vertices (got {g.n}); raise max_n to override"
-        )
-    return all(_component_planar(c) for c in g.component_subgraphs())
+def is_planar(g: Graph) -> bool:
+    """True iff g has a plane embedding."""
+    if _few_branch_vertices(g.adj):
+        return True
+    return all(_block_planar(g.adj, g.mask_of(block)) for block in g.blocks().blocks)
 
 
-def _component_planar(g: Graph) -> bool:
-    n, m = g.n, g.m
-    if n < 5:
+def _few_branch_vertices(rows) -> bool:
+    degrees = [row.bit_count() for row in rows]
+    return sum(d >= 3 for d in degrees) < 6 and sum(d >= 4 for d in degrees) < 5
+
+
+def _walk(adj: dict, start: int, allowed: int, goal: int) -> list:
+    """A shortest path start, x1, ..., xk (k >= 1) with every xi in
+    ``allowed`` and xk adjacent to a vertex of ``goal``."""
+    seen, frontier = 1 << start, [[start]]
+    while frontier:
+        nxt = []
+        for path in frontier:
+            for v in bits(adj[path[-1]] & allowed & ~seen):
+                seen |= 1 << v
+                if adj[v] & goal:
+                    return path + [v]
+                nxt.append(path + [v])
+        frontier = nxt
+    raise AssertionError("a block is 2-connected, so the path exists")
+
+
+def _block_planar(rows, block: int) -> bool:
+    adj = {v: rows[v] & block for v in bits(block)}
+    n, m = len(adj), sum(row.bit_count() for row in adj.values()) // 2
+    if _few_branch_vertices(adj.values()):
         return True
     if m > 3 * n - 6:
         return False
-    gi = g.girth()
-    if gi is not INFINITY and gi >= 4 and m > 2 * n - 4:
-        return False
-    return not (_has_k5_subdivision(g) or _has_k33_subdivision(g))
+    u = min(adj)
+    v = (adj[u] & -adj[u]).bit_length() - 1
+    cycle = _walk(adj, u, block & ~(1 << v), 1 << v) + [v]
+    embedded = sum(1 << x for x in cycle)
+    faces = [(cycle, embedded)] * 2
+    drawn = dict.fromkeys(adj, 0)  # neighbours along drawn edges
+    _draw(drawn, cycle + cycle[:1])
+    edges = len(cycle)
+    while edges < m:
+        # (attachment mask, component mask); a chord has no component
+        fragments = [(1 << x | 1 << y, 0) for x in bits(embedded) for y in bits(adj[x] & embedded & ~drawn[x]) if x < y]
+        rest = block & ~embedded
+        while rest:
+            comp = frontier = rest & -rest
+            reach = 0
+            while frontier:
+                for x in bits(frontier):
+                    reach |= adj[x]
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            rest &= ~comp
+            fragments.append((reach & embedded, comp))
+        options = [([i for i, f in enumerate(faces) if a & ~f[1] == 0], a, c) for a, c in fragments]
+        fits, attach, comp = min(options, key=lambda t: len(t[0]))
+        if not fits:
+            return False
+        a = (attach & -attach).bit_length() - 1
+        if comp:
+            path = _walk(adj, a, comp, attach & ~(1 << a))
+            path.append((adj[path[-1]] & attach & ~(1 << a)).bit_length() - 1)
+        else:
+            path = list(bits(attach))
+        ring = faces.pop(fits[0])[0]
+        ring = ring[ring.index(a):] + ring[: ring.index(a)]
+        k, inner = ring.index(path[-1]), path[1:-1]
+        for f in (ring[: k + 1] + inner[::-1], ring[k:] + [a] + inner):
+            faces.append((f, sum(1 << x for x in f)))
+        _draw(drawn, path)
+        embedded |= sum(1 << x for x in inner)
+        edges += len(path) - 1
+    return True
 
 
-def _has_k5_subdivision(g: Graph) -> bool:
-    cand = [v for v in range(g.n) if g.adj[v].bit_count() >= 4]
-    if len(cand) < 5:
-        return False
-    for branch in itertools.combinations(cand, 5):
-        pairs = list(itertools.combinations(branch, 2))
-        if _link(g, frozenset(branch), pairs):
-            return True
-    return False
-
-
-def _has_k33_subdivision(g: Graph) -> bool:
-    cand = [v for v in range(g.n) if g.adj[v].bit_count() >= 3]
-    if len(cand) < 6:
-        return False
-    for six in itertools.combinations(cand, 6):
-        for side in itertools.combinations(six[1:], 2):
-            left = (six[0],) + side
-            right = tuple(v for v in six if v not in left)
-            pairs = [(a, b) for a in left for b in right]
-            if _link(g, frozenset(six), pairs):
-                return True
-    return False
-
-
-def _link(g: Graph, branch, pairs, used: int = 0, idx: int = 0) -> bool:
-    """Internally-disjoint paths realising all the pairs, avoiding branch
-    vertices as interior points."""
-    if idx == len(pairs):
-        return True
-    a, b = pairs[idx]
-    blocked = used
-    for v in branch:
-        if v != a and v != b:
-            blocked |= 1 << v
-    for interior in _paths(g, a, b, blocked):
-        if _link(g, branch, pairs, used | interior, idx + 1):
-            return True
-    return False
-
-
-def _paths(g: Graph, a: int, b: int, blocked: int):
-    """Yield interior-vertex masks of simple a-b paths avoiding ``blocked``."""
-    if g.adj[a] >> b & 1:
-        yield 0
-    stack = [(a, 0)]
-    adj = g.adj
-    while stack:
-        u, interior = stack.pop()
-        for v in bits(adj[u] & ~blocked & ~interior):
-            if v == b:
-                if interior:  # the direct edge was already yielded
-                    yield interior
-            elif v != a:
-                stack.append((v, interior | 1 << v))
+def _draw(drawn: dict, path: list):
+    for x, y in zip(path, path[1:]):
+        drawn[x] |= 1 << y
+        drawn[y] |= 1 << x

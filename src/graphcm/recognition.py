@@ -31,11 +31,11 @@ that a full cycle listing (_cycles_of_length) gives them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
-from .graph import Graph, INFINITY, PreconditionError, UnsupportedSizeError, bits
+from .graph import Graph, INFINITY, PreconditionError, bits
 from .independence import independence_number, is_w2, is_well_covered
 from .planarity import is_planar
 
@@ -344,12 +344,13 @@ def _exact_cover(universe_mask: int, pieces: list):
 
 def _simplex_pieces(g: Graph, max_degree=None):
     """Candidate (mask, (vertex, simplex)) pieces, one per distinct simplex;
-    the representative is the smallest simplicial vertex of the simplex."""
+    the representative is the simplicial vertex of the simplex that comes
+    first in g's vertex order."""
+    simplicial = simplicial_vertices(g)
     by_mask = {}
-    for v in sorted(simplicial_vertices(g), key=str):
-        if max_degree is not None and g.degree(v) > max_degree:
+    for i, v in enumerate(g.labels):
+        if v not in simplicial or max_degree is not None and g.adj[i].bit_count() > max_degree:
             continue
-        i = g.index(v)
         mask = g.adj[i] | 1 << i
         if mask not in by_mask:
             by_mask[mask] = (v, g.label_set(mask))
@@ -551,7 +552,7 @@ class ClassificationReport:
     block_cactus: bool
     cactus: bool
     square_cm: dict
-    planar: object
+    planar: bool
 
     def to_text(self) -> str:
         lines = []
@@ -585,17 +586,13 @@ class ClassificationReport:
         for char in sorted(self.square_cm):
             value = self.square_cm[char]
             emit(f"square_cm[char{char}]", "n/a (triangle present)" if value is None else value)
-        emit("planar", "unknown (size cap)" if self.planar is None else self.planar)
+        emit("planar", self.planar)
         return "\n".join(lines) + "\n"
 
 
 def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
     chars = [f.characteristic if isinstance(f, FieldSpec) else int(f) for f in fields]
     triangle_free = g.girth() >= 4
-    try:
-        planar = is_planar(g, max_n=16)
-    except UnsupportedSizeError:
-        planar = None
     return ClassificationReport(
         n=g.n,
         m=g.m,
@@ -615,5 +612,5 @@ def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
         block_cactus=is_block_cactus(g),
         cactus=is_cactus(g),
         square_cm={c: (square_cm_criterion(g, c) if triangle_free else None) for c in chars},
-        planar=planar,
+        planar=is_planar(g),
     )

@@ -38,6 +38,13 @@ def test_analyze_bad_graph6(capsys):
     assert code == 2
 
 
+def test_analyze_reports_family_planarity_past_12_vertices(capsys):
+    # gen_G(6) has 17 vertices; the paper's family is planar at every size
+    code, out, _ = run(capsys, "analyze", "--g6", to_graph6(gen_G(6)))
+    assert code == 0
+    assert "planar: true" in out.splitlines()
+
+
 def test_check_exit_codes(capsys):
     p4 = to_graph6(path_graph(4))
     code, out, _ = run(capsys, "check", "sqc", "--g6", p4)

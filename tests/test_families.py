@@ -88,7 +88,7 @@ def test_family_girth_and_planarity():
     for n in range(3, 7):
         g = gen_G(n)
         assert g.girth() == 4
-        assert is_planar(g, max_n=g.n)
+        assert is_planar(g)
     assert gen_G(2).girth() == 5
 
 

@@ -46,6 +46,20 @@ def test_simplicial_vertices_examples():
     assert simplicial_vertices(Graph.empty(2)) == {0, 1}  # isolated vertices are simplicial
 
 
+@pytest.mark.parametrize("name", [lambda i: i, lambda i: f"x{i}"], ids=["int", "str"])
+def test_simplex_representative_is_first_in_vertex_order(name):
+    # twins 2 and 10 share the simplex {1, 2, 10}; as strings "10" < "2"
+    edges = [(1, 2), (1, 10), (2, 10), (0, 1), (0, 3), (0, 4), (4, 5), (4, 6), (6, 7), (6, 8), (8, 9)]
+    g = Graph.from_edges([name(i) for i in range(11)], [(name(a), name(b)) for a, b in edges])
+    from graphcm.recognition import _simplex_pieces
+
+    triangle = g.mask_of(name(i) for i in (1, 2, 10))
+    assert dict(_simplex_pieces(g))[triangle][0] == name(2)
+    cert = recognize_sqc(g)
+    assert cert.validate(g)
+    assert (name(2), frozenset(name(i) for i in (1, 2, 10))) in cert.simplexes
+
+
 def test_is_simplicial_graph_examples():
     assert is_simplicial_graph(complete_graph(3))
     assert not is_simplicial_graph(cycle_graph(5))
