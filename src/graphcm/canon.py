@@ -23,6 +23,15 @@ leaf with equal rows.  For the same reason a leaf equal to the best abandons
 the search back to where its path left the best one.  Any best leaf gives
 the canonical rows, so graphs with equal forms place corresponding vertices
 at equal canonical positions.
+
+``automorphisms(g)`` returns the stored permutations: the twin
+transpositions and one permutation per leaf equal to the best.  Each is an
+automorphism of g, but since pruning skips the subtrees that would show the
+others, together they may generate only a subgroup of Aut(g).  That is
+enough to prune by orbits (as generation does): the orbit of a set under a
+subgroup lies inside its orbit under Aut(g), so skipping the other members
+of a subgroup orbit only ever skips isomorphic copies.  Nothing here relies
+on the whole group.
 """
 
 from __future__ import annotations
@@ -71,9 +80,17 @@ def _twin_automorphisms(adj):
 def _search_cached(g: Graph):
     cached = g.__dict__.get("_canon_search")
     if cached is None:
-        cached = _search(g)
-        g.__dict__["_canon_search"] = cached
+        cached = g.__dict__["_canon_search"] = _search(g)[:2]
     return cached
+
+
+def automorphisms(g: Graph) -> list:
+    """The automorphisms a canonical search of g stores, each as a list
+    ``perm`` of internal indices (``perm[i]`` is the image of ``i``); they
+    generate a subgroup of Aut(g), possibly all of it.  Each call searches
+    afresh: the cached search keeps only the rows and the order, so graphs
+    that live long do not hold permutations nobody asks for again."""
+    return _search(g)[2]
 
 
 def canonical_order(g: Graph) -> tuple:
@@ -95,7 +112,7 @@ def canonical_form(g: Graph) -> bytes:
 def _search(g: Graph):
     n = g.n
     if n == 0:
-        return (), ()
+        return (), (), []
     adj = g.adj
     root = _refine(adj, [(1 << n) - 1])
     # twins never split under refinement, so a discrete root has none
@@ -154,7 +171,7 @@ def _search(g: Graph):
         return n
 
     rec(root)
-    return tuple(best_rows), tuple(best_perm)
+    return tuple(best_rows), tuple(best_perm), autos
 
 
 def _invariant(g: Graph):

@@ -28,8 +28,30 @@ The first three are pairwise conflicts, so S ranges over the independent
 sets of a conflict graph on the parent; the cactus candidates are filtered
 by the same conflicts.  Planarity has no such local rule (joining v can
 complete a Kuratowski subdivision anywhere), so it is still tested on the
-child.  Masks come in increasing order, as the loop over every subset
-visited them, so each level lists the same graphs in the same order.
+child.
+
+Most admissible children never reach the canonical form: two exact rules
+(after McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998)
+drop them first.
+
+* Orbit pruning.  The filters are isomorphism-invariant, so Aut(p)
+  permutes the admissible masks of a parent p, and sigma(S) gives a child
+  isomorphic to the one from S.  Only the first admissible mask of each
+  orbit under the automorphisms canon stores for p is tried; these may
+  generate only a subgroup, whose orbits lie inside those of Aut(p).
+* Canonical deletion.  A child is dropped when a non-cut vertex u != v
+  outranks the new vertex v by (degree, sum of neighbour degrees), an
+  isomorphism invariant of the child.  No class is lost: a connected H in
+  the class has a non-cut vertex u* of top rank; H - u* is connected and,
+  by the closure, in the class, so level n-1 holds a parent p isomorphic
+  to it, the isomorphism taking N(u*) to an admissible mask S' (and a
+  planar one, as H is).  The tried mask S of the orbit of S' gives
+  p + S isomorphic to H with v in the role of u*, so v has top rank and
+  that child is kept.
+
+Survivors are deduplicated by canonical form, so each level lists each
+class exactly once; which representatives it keeps, and their order, are
+not part of the contract.
 
 Levels are cached per hereditary-filter signature, so repeated suites over
 the same class reuse one generation pass.  Verification is embarrassingly
@@ -43,7 +65,7 @@ import time
 from dataclasses import dataclass
 
 from . import recognition
-from .canon import is_isomorphic
+from .canon import automorphisms, is_isomorphic
 from .complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .families import gen_G
@@ -172,14 +194,15 @@ class EnumFilter:
         return self.passes_hereditary(g)
 
 
-def _ball(adj, a: int, radius) -> int:
-    """Mask of the vertices within distance radius of a over the rows adj."""
+def _ball(adj, a: int, radius, within: int = -1) -> int:
+    """Mask of the vertices within distance radius of a over the rows adj,
+    walking only through the vertex mask within."""
     reach = frontier = 1 << a
     while frontier and radius > 0:
         nxt = 0
         for u in bits(frontier):
             nxt |= adj[u]
-        frontier = nxt & ~reach
+        frontier = nxt & within & ~reach
         reach |= frontier
         radius -= 1
     return reach
@@ -206,12 +229,19 @@ def _level(n: int, filt: EnumFilter):
     if n == 1:
         out = (Graph.empty(1),) if filt.passes_hereditary(Graph.empty(1)) else ()
     else:
-        prev = _level(n - 1, filt)
         seen = set()
         out = []
-        for g in prev:
+        for g in _level(n - 1, filt):
+            images = [[1 << i for i in perm] for perm in automorphisms(g)]
+            done = set()
             for nbr_mask in filt.admissible_masks(g):
+                if nbr_mask in done:
+                    continue
+                if images:
+                    done |= _orbit(nbr_mask, images)
                 h = g._extend(nbr_mask)
+                if not _new_vertex_leads(h.adj):
+                    continue
                 if filt.planar_only and not is_planar(h):
                     continue
                 c = h.canonical_form()
@@ -223,6 +253,42 @@ def _level(n: int, filt: EnumFilter):
     return out
 
 
+def _orbit(mask: int, images) -> set:
+    """The orbit of a vertex mask under the permutations given as images,
+    ``images[k][i]`` being the bit that permutation k sends bit i to."""
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        s = todo.pop()
+        for image in images:
+            t = 0
+            for i in bits(s):
+                t |= image[i]
+            if t not in orbit:
+                orbit.add(t)
+                todo.append(t)
+    return orbit
+
+
+def _new_vertex_leads(adj) -> bool:
+    """Whether no non-cut vertex of the graph with rows adj has a larger
+    (degree, sum of neighbour degrees) than its last vertex, the new one.
+    The cut test runs only on the vertices that beat it."""
+    deg = [row.bit_count() for row in adj]
+    v = len(adj) - 1
+
+    def key(u):
+        return deg[u], sum(deg[w] for w in bits(adj[u]))
+
+    mine = key(v)
+    for u in range(v):
+        if deg[u] >= mine[0] and key(u) > mine:
+            others = ((1 << len(adj)) - 1) ^ (1 << u)
+            if _ball(adj, v, v, others) == others:
+                return False
+    return True
+
+
 def enumerate_connected(n: int, filt: EnumFilter = EnumFilter()):
     """Every connected graph on exactly n vertices satisfying the filter,
     exactly once up to isomorphism."""
@@ -230,7 +296,8 @@ def enumerate_connected(n: int, filt: EnumFilter = EnumFilter()):
         return
     _check_cap(n)
     for g in _level(n, filt):
-        if filt.passes(g):
+        # level graphs are connected and pass every hereditary filter
+        if filt.max_girth is None or g.girth() <= filt.max_girth:
             yield g
 
 

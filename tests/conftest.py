@@ -231,7 +231,8 @@ def brute_level(n: int, filt):
     """The connected graphs on n vertices in the filter's hereditary class,
     grown as a plain loop: every non-empty neighbour mask of every graph of
     the level below, the whole filter tested on the child, then a dedup on
-    the canonical form.  Same order as ``enumeration._level``."""
+    the canonical form.  ``enumeration._level`` lists the same classes,
+    each once, but may keep other representatives in another order."""
     key = (filt.hereditary_key(), n)
     if key not in _BRUTE_LEVELS:
         if n == 1:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_is_isomorphic, graphs, to_nx
 
-from graphcm.canon import canonical_form, canonical_order, is_isomorphic, isomorphism_map
+from graphcm.canon import automorphisms, canonical_form, canonical_order, is_isomorphic, isomorphism_map
 from graphcm.graph import Graph, complete_bipartite, complete_graph, cycle_graph, path_graph
 from graphcm.families import gen_G
 
@@ -166,3 +166,63 @@ def test_isomorphism_map_preserves_edges(g, rnd):
     assert sorted(phi) == sorted(g.labels) and sorted(phi.values()) == sorted(h.labels)
     assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges())
     assert g.m == h.m
+
+
+# -- automorphisms stored by the search ---------------------------------------
+
+
+def _is_automorphism(g: Graph, perm) -> bool:
+    if sorted(perm) != list(range(g.n)):
+        return False
+    image = [sum(1 << perm[j] for j in range(g.n) if row >> j & 1) for row in g.adj]
+    return all(image[i] == g.adj[perm[i]] for i in range(g.n))
+
+
+def _group_order(n: int, gens) -> int:
+    """Size of the permutation group the generators generate, by closure."""
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        p = todo.pop()
+        for gen in gens:
+            q = tuple(gen[i] for i in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return len(group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=1, max_n=9))
+def test_stored_automorphisms_are_automorphisms(g):
+    assert all(_is_automorphism(g, perm) for perm in automorphisms(g))
+
+
+def test_stored_automorphisms_generate_the_group_on_atlas():
+    # pruning by orbits needs only genuine automorphisms; that they give the
+    # whole group here is what dropping the generator's dedup would rest on
+    checked = 0
+    for h in nx.graph_atlas_g()[1:]:
+        g = _from_nx(h)
+        gens = automorphisms(g)
+        assert all(_is_automorphism(g, perm) for perm in gens), h.edges()
+        want = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
+        assert _group_order(g.n, gens) == want, h.edges()
+        checked += 1
+    assert checked == 1252
+
+
+def test_automorphisms_of_named_graphs():
+    named = {
+        "C6": (cycle_graph(6), 12),
+        "K1,3": (complete_bipartite(1, 3), 6),
+        "P4": (path_graph(4), 2),
+        "Petersen": (_from_nx(nx.petersen_graph()), 120),
+        "K4,4": (complete_bipartite(4, 4), 1152),
+    }
+    for name, (g, order) in named.items():
+        canonical_form(g)  # a cached search does not change what is returned
+        gens = automorphisms(g)
+        assert all(_is_automorphism(g, perm) for perm in gens), name
+        assert _group_order(g.n, gens) == order, name

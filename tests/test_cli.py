@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import graphcm
 from graphcm.cli import main
 from graphcm.graph import cycle_graph, path_graph
 from graphcm.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
@@ -81,6 +86,20 @@ def test_enumerate_stream(capsys):
     assert len(out.strip().splitlines()) == 2
     code, out, _ = run(capsys, "enumerate", "3", "--upto")
     assert len(out.strip().splitlines()) == 4
+
+
+def test_enumerate_output_is_reproducible():
+    # two fresh processes, so neither level cache nor hash order is shared
+    src = os.path.dirname(os.path.dirname(graphcm.__file__))
+    argv = [sys.executable, "-c", "import sys; from graphcm.cli import main; sys.exit(main(sys.argv[1:]))"]
+    argv += ["enumerate", "6", "--upto", "--planar-only", "--min-girth", "4"]
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(argv, env=env, capture_output=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 1 + 1 + 3 + 6 + 18
 
 
 def test_enumerate_has_no_workers_option(capsys):

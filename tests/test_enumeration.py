@@ -202,9 +202,11 @@ def test_levels_match_brute_level(filt):
     from conftest import brute_level
     from graphcm.enumeration import _level
 
+    # the same classes, each once (a duplicate would show twice); which
+    # representative a level keeps, and in what order, is not part of it
     for n in range(1, _brute_depth(filt) + 1):
-        got = [to_graph6(g) for g in _level(n, filt)]
-        assert got == [to_graph6(g) for g in brute_level(n, filt)], n
+        got = sorted(canonical_form(g) for g in _level(n, filt))
+        assert got == sorted(canonical_form(g) for g in brute_level(n, filt)), n
 
 
 _STRICTER = [{"min_girth": k} for k in (3, 4, 5, 6, 7)] + [
@@ -216,11 +218,11 @@ _STRICTER = [{"min_girth": k} for k in (3, 4, 5, 6, 7)] + [
 
 
 @st.composite
-def _filter_and_parent(draw):
+def _filter_and_parent(draw, max_n=9):
     """A connected graph glued from random cliques and cycles, with up to
     three extra edges, and a filter without planarity that it passes: each
     drawn restriction is kept only if the graph still passes."""
-    n_max = draw(st.integers(1, 9))
+    n_max = draw(st.integers(1, max_n))
     edges, n = [], 1
     while n < n_max:
         new = [draw(st.integers(0, n - 1))] + list(range(n, n + draw(st.integers(1, min(5, n_max - n)))))
@@ -245,6 +247,15 @@ def test_admissible_masks_are_the_passing_extensions(case):
     assert filt.passes_hereditary(g)
     want = [s for s in range(1, 1 << g.n) if filt.passes_hereditary(g._extend(s))]
     assert list(filt.admissible_masks(g)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_filter_and_parent(max_n=8))
+def test_level_holds_every_graph_its_filter_passes(case):
+    from graphcm.enumeration import _level
+
+    filt, h = case
+    assert canonical_form(h) in {canonical_form(g) for g in _level(h.n, filt)}
 
 
 def test_filtered_level_counts():
