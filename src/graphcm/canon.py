@@ -77,36 +77,40 @@ def _twin_automorphisms(adj):
     return out
 
 
-def _search_cached(g: Graph):
-    cached = g.__dict__.get("_canon_search")
-    if cached is None:
-        cached = g.__dict__["_canon_search"] = _search(g)[:2]
-    return cached
-
-
 def automorphisms(g: Graph) -> list:
     """The automorphisms a canonical search of g stores, each as a list
     ``perm`` of internal indices (``perm[i]`` is the image of ``i``); they
     generate a subgroup of Aut(g), possibly all of it.  Each call searches
-    afresh: the cached search keeps only the rows and the order, so graphs
-    that live long do not hold permutations nobody asks for again."""
+    afresh, so graphs that live long do not hold permutations nobody asks
+    for again."""
     return _search(g)[2]
 
 
 def canonical_order(g: Graph) -> tuple:
     """A canonical vertex ordering (position -> internal index); graphs with
-    equal canonical forms place corresponding vertices at equal positions."""
-    return tuple(_search_cached(g)[1])
+    equal canonical forms place corresponding vertices at equal positions.
+    The search is kept on g, so a canonical form asked for afterwards costs
+    no second search."""
+    cached = g.__dict__.get("_canon_search")
+    if cached is None:
+        cached = g.__dict__["_canon_search"] = _search(g)[:2]
+    return tuple(cached[1])
 
 
 def canonical_form(g: Graph) -> bytes:
-    rows, _ = _search_cached(g)
-    n = g.n
-    acc = 0
-    for k in range(1, n):
-        acc = (acc << k) | rows[k]
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + acc.to_bytes((nbits + 7) // 8, "big")
+    """The canonical byte string of g.  It is kept on g, and nothing else:
+    the many graphs that only ever need a key, such as the generated
+    levels, do not hold the rows and the order of their search."""
+    form = g.__dict__.get("_canon_form")
+    if form is None:
+        rows = (g.__dict__.get("_canon_search") or _search(g))[0]
+        n = g.n
+        acc = 0
+        for k in range(1, n):
+            acc = (acc << k) | rows[k]
+        nbits = n * (n - 1) // 2
+        form = g.__dict__["_canon_form"] = bytes([n]) + acc.to_bytes((nbits + 7) // 8, "big")
+    return form
 
 
 def _search(g: Graph):
@@ -186,7 +190,9 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def isomorphism_map(g: Graph, h: Graph):
     """A label bijection realising an isomorphism, or None."""
-    if not is_isomorphic(g, h):
+    if _invariant(g) != _invariant(h):
         return None
-    og, oh = canonical_order(g), canonical_order(h)
+    og, oh = canonical_order(g), canonical_order(h)  # before the forms: one search each
+    if g.canonical_form() != h.canonical_form():
+        return None
     return {g.labels[og[p]]: h.labels[oh[p]] for p in range(g.n)}

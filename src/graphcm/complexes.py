@@ -18,13 +18,21 @@ from above through its neighbours, and a rank whose bounds meet is exact.
 When the mod-p Betti numbers vanish below the top dimension every rank is
 pinned, so the rational profile equals the mod-p one (the universal
 coefficient theorem seen through ranks); integer elimination runs only on
-ranks the bounds leave open.  Verdicts never collapse fields silently;
-callers pass the characteristics they care about.
+ranks the bounds leave open.  The GF(2) ranks are that first stage, so a
+rational profile brings the GF(2) profile with it.  Verdicts never
+collapse fields silently; callers pass the characteristics they care about.
 
 For independence complexes everything runs at graph level: the link of a
-face F in Delta(G) is Delta(G minus N[F]), again an independence complex,
-so the recursion memoises on canonical forms of punched graphs and the
-cache is shared process-wide.
+face F in Delta(G) is Delta(G minus N[F]), again an independence complex.
+The recursions walk one process-wide table of isomorphism classes keyed by
+canonical form (``_PROFILE_CACHE``).  A class record holds its children,
+the distinct classes of G minus N[v] over the vertices v, found once and
+then followed by reference; its purity (well-coveredness); and per
+characteristic its Betti numbers, its Reisner verdict and its Stanley
+verdict.  A second field, the other engine or another entry point on a
+class already met computes no canonical form again.  Both engines test
+purity before any homology: Gorenstein* implies Cohen-Macaulay, which
+implies pure, and purity needs only the maximal independent sets.
 """
 
 from __future__ import annotations
@@ -355,9 +363,10 @@ def _rank_mod(cols, p: int) -> int:
     return linalg.rank_gf2(masks)
 
 
-def _rational_ranks(sizes, cols) -> list:
+def _rational_ranks(sizes, cols, lo) -> list:
     """Ranks over Q of the boundary maps d_c (cardinality c to c-1), with
-    ranks[0] = ranks[top+1] = 0, certified for the chain complex as a whole.
+    ranks[0] = ranks[top+1] = 0, certified for the chain complex as a whole;
+    lo holds the GF(2) ranks in the same layout.
 
     Write n_c = sizes[c] and r_c for the rational rank of d_c.
     * Lower bounds: r_c >= rank of d_c mod p for every prime p, since a
@@ -374,13 +383,13 @@ def _rational_ranks(sizes, cols) -> list:
     pinned and the rational profile equals the mod-p one.
 
     Each stage runs only on the maps the stages before it left open:
-    1. GF(2) ranks of every map, from bitset columns;
+    1. the GF(2) ranks lo, from bitset columns (the caller's, see _profiles);
     2. ranks modulo linalg.LARGE_PRIME;
     3. linalg.rank_char0 with the chain upper bound, one map at a time,
        settling the bounds again after each exact rank.
     """
     top = len(sizes) - 2
-    lo = [0] + [_rank_mod(cols[c], 2) for c in range(1, top + 1)] + [0]
+    lo = list(lo)
     hi = [0] + [min(sizes[c - 1], sizes[c]) for c in range(1, top + 1)] + [0]
 
     def settle():
@@ -401,21 +410,31 @@ def _rational_ranks(sizes, cols) -> list:
     return lo
 
 
-def _profile_from_cards(faces_by_card, char: int) -> tuple:
-    """Reduced Betti numbers indexed by cardinality (index c = dim c-1);
-    faces_by_card[c] lists the faces of cardinality c as bitmasks."""
+def _profiles(faces_by_card, char: int) -> dict:
+    """Reduced Betti numbers indexed by cardinality (index c = dim c-1),
+    keyed by characteristic; faces_by_card[c] lists the faces of
+    cardinality c as bitmasks.  Over Q the GF(2) ranks are the first stage
+    of _rational_ranks, so the GF(2) profile comes with the rational one."""
     if not faces_by_card:
-        return ()
+        return {char: ()}
     top = len(faces_by_card) - 1
     sizes = [len(level) for level in faces_by_card] + [0]
     cols = [None] + [
         _boundary_columns(faces_by_card[c - 1], faces_by_card[c]) for c in range(1, top + 1)
     ]
+
+    def betti(ranks):
+        return tuple(sizes[c] - ranks[c] - ranks[c + 1] for c in range(top + 1))
+
+    ranks = [0] + [_rank_mod(cols[c], char or 2) for c in range(1, top + 1)] + [0]
+    out = {char or 2: betti(ranks)}
     if char == 0:
-        ranks = _rational_ranks(sizes, cols)
-    else:
-        ranks = [0] + [_rank_mod(cols[c], char) for c in range(1, top + 1)] + [0]
-    return tuple(sizes[c] - ranks[c] - ranks[c + 1] for c in range(top + 1))
+        out[0] = betti(_rational_ranks(sizes, cols, ranks))
+    return out
+
+
+def _profile_from_cards(faces_by_card, char: int) -> tuple:
+    return _profiles(faces_by_card, char)[char]
 
 
 def betti_profile(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
@@ -427,72 +446,114 @@ def betti_profile(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile
     return HomologyProfile(char, _profile_from_cards(_faces_by_card_from_complex(delta), char))
 
 
-# -- graph-level cached engines ------------------------------------------------
+# -- graph-level engines over one table of classes ---------------------------------
 
+
+@dataclass(slots=True, eq=False)
+class _Class:
+    """One isomorphism class of graphs met by the link recursions.
+
+    ``graph`` is the first member seen; ``children`` are the distinct
+    classes of its punched graphs; ``pure`` is well-coveredness; ``betti``,
+    ``cm`` and ``gor`` map a characteristic to the reduced Betti numbers,
+    the Reisner verdict and the Gorenstein* verdict."""
+
+    graph: Graph
+    children: tuple | None = None
+    pure: bool | None = None
+    betti: dict = dc_field(default_factory=dict)
+    cm: dict = dc_field(default_factory=dict)
+    gor: dict = dc_field(default_factory=dict)
+
+
+# canonical form -> _Class, shared by every field and both engines
 _PROFILE_CACHE: dict = {}
-_REISNER_CACHE: dict = {}
-_GORSTAR_CACHE: dict = {}
 
 
 def clear_caches():
     _PROFILE_CACHE.clear()
-    _REISNER_CACHE.clear()
-    _GORSTAR_CACHE.clear()
+
+
+def _class_of(g: Graph) -> _Class:
+    key = g.canonical_form()
+    rec = _PROFILE_CACHE.get(key)
+    if rec is None:
+        rec = _PROFILE_CACHE[key] = _Class(g)
+    return rec
+
+
+def _children(rec: _Class) -> tuple:
+    """The distinct classes of g minus N[v] over the vertices v of g.
+    Twins are skipped: true twins punch the same set, and swapping false
+    twins u, v is an automorphism carrying g minus N[u] onto g minus N[v].
+    One set holds both kinds of mask, as N(u) = N[w] would put u in N(u)."""
+    if rec.children is None:
+        g = rec.graph
+        full = g.full_mask
+        seen = set()
+        children = []
+        for v in range(g.n):
+            closed = g.adj[v] | 1 << v
+            if g.adj[v] in seen or closed in seen:
+                continue
+            seen.update((g.adj[v], closed))
+            children.append(_class_of(g.keep_mask(full & ~closed)))
+        rec.children = tuple(dict.fromkeys(children))
+    return rec.children
+
+
+def _pure(rec: _Class) -> bool:
+    if rec.pure is None:
+        rec.pure = is_well_covered(rec.graph)
+    return rec.pure
+
+
+def _betti(rec: _Class, char: int) -> tuple:
+    out = rec.betti.get(char)
+    if out is None:
+        rec.betti.update(_profiles(_independent_masks_by_card(rec.graph), char))
+        out = rec.betti[char]
+    return out
 
 
 def graph_betti(g: Graph, char: int) -> tuple:
     """Reduced Betti numbers of Delta(g), indexed by face cardinality."""
-    key = (g.canonical_form(), char)
-    out = _PROFILE_CACHE.get(key)
-    if out is None:
-        out = _profile_from_cards(_independent_masks_by_card(g), char)
-        _PROFILE_CACHE[key] = out
-    return out
+    return _betti(_class_of(g), char)
 
 
-def _punches(g: Graph):
-    full = g.full_mask
-    for v in range(g.n):
-        yield g.keep_mask(full & ~(g.adj[v] | 1 << v))
-
-
-def _reisner_graph(g: Graph, char: int) -> bool:
+def _reisner(rec: _Class, char: int) -> bool:
     """Reisner criterion for Delta(g): faces containing a vertex v are
     handled by recursing into the punched graph g minus N[v]."""
-    key = (g.canonical_form(), char)
-    out = _REISNER_CACHE.get(key)
-    if out is not None:
-        return out
-    if not is_well_covered(g):  # CM complexes are pure
-        out = False
-    else:
-        betti = graph_betti(g, char)
-        alpha = len(betti) - 1
-        out = all(betti[c] == 0 for c in range(alpha))
-        if out:
-            out = all(_reisner_graph(h, char) for h in _punches(g))
-    _REISNER_CACHE[key] = out
+    out = rec.cm.get(char)
+    if out is None:
+        # CM complexes are pure
+        out = (
+            _pure(rec)
+            and not any(_betti(rec, char)[:-1])
+            and all(_reisner(child, char) for child in _children(rec))
+        )
+        rec.cm[char] = out
     return out
 
 
-def _gorenstein_star_graph(g: Graph, char: int) -> bool:
-    """Stanley links-are-spheres condition over all faces of Delta(g)."""
-    key = (g.canonical_form(), char)
-    out = _GORSTAR_CACHE.get(key)
-    if out is not None:
-        return out
-    betti = graph_betti(g, char)
-    alpha = len(betti) - 1
-    out = all(betti[c] == 0 for c in range(alpha)) and betti[alpha] == 1
-    if out:
-        out = all(_gorenstein_star_graph(h, char) for h in _punches(g))
-    _GORSTAR_CACHE[key] = out
+def _gorenstein_star(rec: _Class, char: int) -> bool:
+    """Stanley links-are-spheres condition over all faces of Delta(g).  It
+    contains the Reisner criterion, so purity is tested before homology."""
+    out = rec.gor.get(char)
+    if out is None:
+        # Betti numbers are non-negative: a sphere's sum to its top one, 1
+        out = (
+            _pure(rec)
+            and _betti(rec, char)[-1] == sum(_betti(rec, char)) == 1
+            and all(_gorenstein_star(child, char) for child in _children(rec))
+        )
+        rec.gor[char] = out
     return out
 
 
 def is_cm_graph(g: Graph, field) -> bool:
     char = field.characteristic if isinstance(field, FieldSpec) else int(field)
-    return _reisner_graph(g, char)
+    return _reisner(_class_of(g), char)
 
 
 def is_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
@@ -541,5 +602,6 @@ def is_gorenstein_graph(g: Graph, field) -> bool:
     isolated vertices; the empty graph's complex {emptyset} is Gorenstein,
     which makes K1 and K2 come out Gorenstein as they should."""
     char = field.characteristic if isinstance(field, FieldSpec) else int(field)
-    stripped = g.delete_vertices(g.isolated_vertices())
-    return _gorenstein_star_graph(stripped, char)
+    if not all(g.adj):
+        g = g.keep_mask(sum(1 << v for v, row in enumerate(g.adj) if row))
+    return _gorenstein_star(_class_of(g), char)

@@ -99,6 +99,7 @@ def _vd(g: Graph, steps) -> bool:
     if len(comps) > 1:
         results = [_vd(g.keep_mask(mask), steps) for mask in comps]
         return all(results)
+    canon_order = canonical_order(g)  # before the form: one search gives both
     canon = g.canonical_form()
     full = g.full_mask
     hit = _VD_CACHE.get(canon)
@@ -106,7 +107,7 @@ def _vd(g: Graph, steps) -> bool:
         verdict, pos = hit
         if not verdict or steps is None:
             return verdict
-        idx = canonical_order(g)[pos]
+        idx = canon_order[pos]
         _record(steps, canon, g, idx)
         _vd(g.keep_mask(full & ~(1 << idx)), steps)
         _vd(g.keep_mask(full & ~(g.adj[idx] | 1 << idx)), steps)
@@ -120,7 +121,7 @@ def _vd(g: Graph, steps) -> bool:
         punched = g.keep_mask(full & ~(g.adj[idx] | 1 << idx))
         sub = [] if steps is not None else None
         if _vd(rest, sub) and _vd(punched, sub):
-            _VD_CACHE[canon] = (True, canonical_order(g).index(idx))
+            _VD_CACHE[canon] = (True, canon_order.index(idx))
             if steps is not None:
                 _record(steps, canon, g, idx)
                 for entry in sub:
@@ -142,10 +143,11 @@ def replay_certificate(g: Graph, cert: SheddingCertificate) -> bool:
         comps = h.component_masks()
         if len(comps) > 1:
             return all(walk(h.keep_mask(mask)) for mask in comps)
+        order = canonical_order(h)  # before the form: one search gives both
         pos = table.get(h.canonical_form())
         if pos is None:
             return False
-        idx = canonical_order(h)[pos]
+        idx = order[pos]
         if not _is_shedding_index(h, idx):
             return False
         full = h.full_mask

@@ -102,8 +102,10 @@ class EnumFilter:
                 raise GraphInputError("min_girth exceeds max_girth")
 
     def hereditary_key(self):
+        # every cycle has length >= 3, so min_girth <= 3 filters nothing
+        min_girth = self.min_girth if self.min_girth is not None and self.min_girth > 3 else None
         return (
-            self.min_girth,
+            min_girth,
             self.forbid_c4,
             self.forbid_c5,
             self.planar_only,

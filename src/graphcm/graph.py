@@ -380,12 +380,11 @@ class Graph:
 
     def canonical_form(self) -> bytes:
         """Relabeling-invariant byte string; equal iff graphs isomorphic."""
-        cached = self.__dict__.get("_canon_cache")
+        cached = self.__dict__.get("_canon_form")  # kept there by canon
         if cached is None:
             from . import canon
 
             cached = canon.canonical_form(self)
-            self.__dict__["_canon_cache"] = cached
         return cached
 
     def __repr__(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -324,3 +326,90 @@ def test_gorenstein_g6_needs_no_bareiss(monkeypatch):
     complexes.clear_caches()
     for char in (0, 2):
         assert is_gorenstein_graph(gen_G(6), FieldSpec(char))
+
+
+# -- the table of classes shared by fields and engines --------------------------
+
+
+def _sd_rp2_graph():
+    """G with Delta(G) = sd(RP^2): independent sets of the complement of the
+    comparability graph of the face poset are its chains."""
+    faces = sorted((f for f in RP2.faces() if f), key=lambda f: (len(f), sorted(f)))
+    non_edges = [(i, j) for i, j in itertools.combinations(range(len(faces)), 2)
+                 if not (faces[i] < faces[j] or faces[j] < faces[i])]
+    return Graph.from_edges(len(faces), non_edges)
+
+
+def test_sd_rp2_torsion_does_not_leak_between_fields():
+    g = _sd_rp2_graph()
+    assert g.n == 31
+    cm = {0: True, 2: False, 3: True}
+    for order in ((0, 2, 3), (2, 0, 3)):
+        complexes.clear_caches()
+        for _warm in range(2):
+            for char in order:
+                assert is_cm_graph(g, char) is cm[char], (order, char)
+                assert not is_gorenstein_graph(g, FieldSpec(char)), (order, char)
+        # a fresh copy of the same class is answered from the table
+        for char in order:
+            assert is_cm_graph(_sd_rp2_graph(), char) is cm[char]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_other_fields_and_engines_reuse_the_class_table(monkeypatch):
+    from graphcm import canon
+
+    complexes.clear_caches()
+    g = gen_G(4)
+    assert is_cm_graph(g, 0)
+    forms = _count_calls(monkeypatch, canon, "canonical_form")
+    ranks = _count_calls(monkeypatch, linalg, "rank_gf2")
+    assert is_cm_graph(g, 2)
+    assert is_gorenstein_graph(g, FieldSpec(0)) and is_gorenstein_graph(g, FieldSpec(2))
+    assert forms == []
+    # the rational profiles came with their GF(2) ones
+    assert ranks == []
+
+
+def test_gorenstein_tests_purity_before_homology(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("homology computed for a complex that is not pure")
+
+    monkeypatch.setattr(complexes, "_profiles", refuse)
+    complexes.clear_caches()
+    for g in (path_graph(3), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])):
+        assert not is_well_covered(g)
+        for char in (0, 2):
+            assert not is_gorenstein_graph(g, FieldSpec(char))
+            assert not is_cm_graph(g, char)
+
+
+def test_gorenstein_copies_only_to_drop_isolated_vertices():
+    complexes.clear_caches()
+    g = gen_G(3)
+    assert is_gorenstein_graph(g, FieldSpec(2))
+    # g itself keys the table, so its cached canonical form was used
+    assert complexes._PROFILE_CACHE[g.canonical_form()].graph is g
+    h = Graph.from_edges(list(g.labels) + ["x"], g.edges())
+    assert is_gorenstein_graph(h, FieldSpec(2))
+    assert all(rec.graph is not h for rec in complexes._PROFILE_CACHE.values())
+
+
+def test_graph_engines_match_complex_oracles_on_atlas():
+    import networkx as nx
+
+    complexes.clear_caches()
+    atlas = [Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+             for h in nx.graph_atlas_g() if h.number_of_nodes() <= 6]
+    for g in atlas:
+        bare = SimplicialComplex(g.labels, independence_complex(g).facets)
+        # fields interleaved, so each char meets a table warmed by the others
+        for char in (2, 0, 3):
+            assert is_gorenstein_graph(g, FieldSpec(char)) == _gorenstein_oracle(g, char), (g, char)
+            assert is_cm_graph(g, char) == is_cm(bare, FieldSpec(char)), (g, char)

@@ -282,3 +282,12 @@ def test_connected_counts_respects_the_cap():
     with pytest.raises(UnsupportedSizeError):
         connected_counts(HARD_CAP + 1)
     assert time.monotonic() - start < 1
+
+
+def test_trivial_girth_bound_shares_the_unfiltered_level():
+    # every simple graph has girth >= 3, so the bound must not split the cache
+    from graphcm.enumeration import _level
+
+    for k in (1, 2, 3):
+        assert _level(6, EnumFilter(min_girth=k)) is _level(6, EnumFilter())
+    assert _level(6, EnumFilter(min_girth=4)) is not _level(6, EnumFilter())
