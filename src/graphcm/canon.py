@@ -5,13 +5,30 @@ relabeling and distinct for non-isomorphic graphs: one length byte followed
 by the lexicographically minimal packed adjacency matrix over the leaves
 (vertex orderings) of a search tree.  A node is an ordered partition, a
 list of cell bitmasks, whose first ``k`` cells are the vertices placed so
-far.  ``_refine`` splits every cell by the vector of popcounts
-``(adj[v] & c).bit_count()`` over all cells ``c``, in the order of that
-vector, until no cell splits (the fixed point of colour refinement).  A
-singleton target cell is placed as it is; otherwise each child
+far.  A singleton target cell is placed as it is; otherwise each child
 individualises one of its vertices and refines.  Every step depends only on
 the graph and the placed prefix, so isomorphisms map search trees onto each
 other.
+
+Refinement (McKay, "Practical graph isomorphism", 1981) brings a partition
+to the coarsest equitable one below it: every vertex of a cell has the same
+number of neighbours in each cell.  ``_refine`` works through a stack of
+splitter cells.  It pops a splitter W and splits every cell by the number of
+neighbours in W, putting the fragments in place of the cell in order of
+that count.  It keeps this invariant: for each cell X off the stack, the
+partition is stable against (all vertices of each cell have one count in) X
+together with some cells on the stack.  Once W is used the partition is
+stable against W, so W can leave those unions.  A cell on the stack that
+splits is replaced by all its fragments; a cell off the stack that splits
+pushes all fragments but its first largest, whose union takes the others
+in.  So an empty stack means an equitable partition.  At the root the stack
+is the whole vertex set.  After individualising v in the cell C of an
+equitable partition it is just ``{v}``: the partition was stable against C,
+which is C minus v together with {v}.  Every split separates vertices that
+the coarsest equitable refinement separates too, so the cells are those of
+refining against all cells at once (``brute_refine`` in the tests); only
+their order differs, and it is a function of the graph and the prefix like
+everything else here.
 
 A node whose packed rows already exceed the best leaf's is cut.
 Automorphisms are stored as found: one chain of transpositions per class of
@@ -28,47 +45,78 @@ at equal canonical positions.
 transpositions and one permutation per leaf equal to the best.  Each is an
 automorphism of g, but since pruning skips the subtrees that would show the
 others, together they may generate only a subgroup of Aut(g).  That is
-enough to prune by orbits (as generation does): the orbit of a set under a
-subgroup lies inside its orbit under Aut(g), so skipping the other members
-of a subgroup orbit only ever skips isomorphic copies.  Nothing here relies
-on the whole group.
+enough to prune by orbits (as generation and the link recursions do): the
+orbit of a set under a subgroup lies inside its orbit under Aut(g), so
+skipping the other members of a subgroup orbit only ever skips isomorphic
+copies.  Nothing here relies on the whole group.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, bits
 
 
-def _refine(adj, cells):
-    """Split the ordered partition ``cells`` until it is equitable."""
-    while True:
+def _push(todo, cell, frags):
+    """Put the fragments of a split cell on the splitter stack."""
+    if cell in todo:
+        i = todo.index(cell)
+        todo[i:i + 1] = frags
+    else:
+        big = frags.index(max(frags, key=int.bit_count))
+        todo.extend(frags[:big] + frags[big + 1:])
+
+
+def _refine(adj, cells, todo):
+    """Split the ordered partition ``cells`` until it is equitable and
+    return it; ``todo`` is the splitter stack."""
+    n = len(adj)
+    while todo and len(cells) < n:  # a discrete partition is equitable
+        w = todo.pop()
         out = []
-        for c in cells:
-            if c & (c - 1) == 0:
-                out.append(c)
-                continue
-            parts = {}
-            m = c
-            while m:
-                b = m & -m
-                m ^= b
-                a = adj[b.bit_length() - 1]
-                key = tuple([(a & d).bit_count() for d in cells])
-                parts[key] = parts.get(key, 0) | b
-            out.extend(parts[key] for key in sorted(parts))
-        if len(out) == len(cells):
-            return out
+        if w & (w - 1) == 0:  # one splitter vertex: counts are 0 or 1
+            a = adj[w.bit_length() - 1]
+            for c in cells:
+                x = c & a
+                if x and x != c:
+                    frags = [c ^ x, x]
+                    out += frags
+                    _push(todo, c, frags)
+                else:
+                    out.append(c)
+        else:
+            for c in cells:
+                if c & (c - 1) == 0:
+                    out.append(c)
+                    continue
+                parts = {}
+                m = c
+                while m:
+                    b = m & -m
+                    m ^= b
+                    k = (adj[b.bit_length() - 1] & w).bit_count()
+                    parts[k] = parts.get(k, 0) | b
+                if len(parts) == 1:
+                    out.append(c)
+                    continue
+                frags = [parts[k] for k in sorted(parts)]
+                out += frags
+                _push(todo, c, frags)
         cells = out
+    return cells
 
 
-def _twin_automorphisms(adj):
-    """One chain of transpositions per class of false or true twins."""
+def _twin_automorphisms(adj, cells):
+    """One chain of transpositions per class of false or true twins.  Twins
+    have equal counts in every cell, so they share a cell of the equitable
+    partition ``cells``."""
     n = len(adj)
     out = []
     for closed in (0, 1):
         classes = {}
-        for v in range(n):
-            classes.setdefault(adj[v] | closed << v, []).append(v)
+        for c in cells:
+            if c & (c - 1):
+                for v in bits(c):
+                    classes.setdefault(adj[v] | closed << v, []).append(v)
         for cls in classes.values():
             for u, v in zip(cls, cls[1:]):
                 perm = list(range(n))
@@ -80,20 +128,38 @@ def _twin_automorphisms(adj):
 def automorphisms(g: Graph) -> list:
     """The automorphisms a canonical search of g stores, each as a list
     ``perm`` of internal indices (``perm[i]`` is the image of ``i``); they
-    generate a subgroup of Aut(g), possibly all of it.  Each call searches
-    afresh, so graphs that live long do not hold permutations nobody asks
-    for again."""
-    return _search(g)[2]
+    generate a subgroup of Aut(g), possibly all of it.  They are taken from
+    the search ``canonical_order`` kept on g, if any; otherwise the call
+    searches afresh, so graphs that live long do not hold permutations
+    nobody asks for again."""
+    return (g.__dict__.get("_canon_search") or _search(g))[2]
+
+
+def form_and_automorphisms(g: Graph) -> tuple:
+    """``(form, autos)``: the canonical form of g and the automorphisms
+    stored by the search that found it.  When g already keeps its form no
+    search runs and ``autos`` is None; ``automorphisms(g)`` searches for
+    them if they are wanted later."""
+    form = g.__dict__.get("_canon_form")
+    if form is not None:
+        return form, None
+    rows, _order, autos = g.__dict__.get("_canon_search") or _search(g)
+    n = g.n
+    acc = 0
+    for k in range(1, n):
+        acc = (acc << k) | rows[k]
+    form = g.__dict__["_canon_form"] = bytes([n]) + acc.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
+    return form, autos
 
 
 def canonical_order(g: Graph) -> tuple:
     """A canonical vertex ordering (position -> internal index); graphs with
     equal canonical forms place corresponding vertices at equal positions.
-    The search is kept on g, so a canonical form asked for afterwards costs
-    no second search."""
+    The search is kept on g, so the canonical form and the automorphisms
+    asked for afterwards cost no second search."""
     cached = g.__dict__.get("_canon_search")
     if cached is None:
-        cached = g.__dict__["_canon_search"] = _search(g)[:2]
+        cached = g.__dict__["_canon_search"] = _search(g)
     return tuple(cached[1])
 
 
@@ -101,16 +167,7 @@ def canonical_form(g: Graph) -> bytes:
     """The canonical byte string of g.  It is kept on g, and nothing else:
     the many graphs that only ever need a key, such as the generated
     levels, do not hold the rows and the order of their search."""
-    form = g.__dict__.get("_canon_form")
-    if form is None:
-        rows = (g.__dict__.get("_canon_search") or _search(g))[0]
-        n = g.n
-        acc = 0
-        for k in range(1, n):
-            acc = (acc << k) | rows[k]
-        nbits = n * (n - 1) // 2
-        form = g.__dict__["_canon_form"] = bytes([n]) + acc.to_bytes((nbits + 7) // 8, "big")
-    return form
+    return form_and_automorphisms(g)[0]
 
 
 def _search(g: Graph):
@@ -118,22 +175,33 @@ def _search(g: Graph):
     if n == 0:
         return (), (), []
     adj = g.adj
-    root = _refine(adj, [(1 << n) - 1])
-    # twins never split under refinement, so a discrete root has none
-    autos = _twin_automorphisms(adj) if len(root) < n else []
+    full = (1 << n) - 1
+    root = _refine(adj, [full], [full])
+    autos = _twin_automorphisms(adj, root)
     best_rows = None
     best_perm = None
     order = []
     rows = []
+    pos = [0] * n  # canonical position of each placed vertex
+    placed = 0
 
     def rec(cells):
         """Search below ``cells``; return the depth to resume at."""
-        nonlocal best_rows, best_perm
+        nonlocal best_rows, best_perm, placed
         k0 = k = len(order)
+        placed0 = placed
         while k < n and cells[k] & (cells[k] - 1) == 0:
             v = cells[k].bit_length() - 1
-            rows.append(sum(1 << i for i, u in enumerate(order) if adj[v] >> u & 1))
+            row = 0
+            m = adj[v] & placed
+            while m:
+                b = m & -m
+                m ^= b
+                row |= 1 << pos[b.bit_length() - 1]
+            rows.append(row)
             order.append(v)
+            pos[v] = k
+            placed |= 1 << v
             k += 1
         back = n
         if best_rows is None or rows <= best_rows[:k]:
@@ -146,11 +214,12 @@ def _search(g: Graph):
                 autos.append([to[u] for u in range(n)])
                 back = next(i for i in range(n) if best_perm[i] != order[i])
         del order[k0:], rows[k0:]
+        placed = placed0
         return back
 
     def branch(cells, k):
         cell = cells[k]
-        verts = [v for v in range(n) if cell >> v & 1]
+        verts = list(bits(cell))
         # orbits of the prefix stabiliser on the target cell, as union-find
         orbit = list(range(n))
 
@@ -169,7 +238,7 @@ def _search(g: Graph):
             used = len(autos)
             if all(find(u) != find(v) for u in tried):
                 tried.append(v)
-                back = rec(_refine(adj, cells[:k] + [1 << v, cell ^ 1 << v] + cells[k + 1:]))
+                back = rec(_refine(adj, cells[:k] + [1 << v, cell ^ 1 << v] + cells[k + 1:], [1 << v]))
                 if back < k:
                     return back
         return n

@@ -27,12 +27,26 @@ face F in Delta(G) is Delta(G minus N[F]), again an independence complex.
 The recursions walk one process-wide table of isomorphism classes keyed by
 canonical form (``_PROFILE_CACHE``).  A class record holds its children,
 the distinct classes of G minus N[v] over the vertices v, found once and
-then followed by reference; its purity (well-coveredness); and per
-characteristic its Betti numbers, its Reisner verdict and its Stanley
-verdict.  A second field, the other engine or another entry point on a
-class already met computes no canonical form again.  Both engines test
-purity before any homology: Gorenstein* implies Cohen-Macaulay, which
-implies pure, and purity needs only the maximal independent sets.
+then followed by reference; the classes of G minus v and of the edge
+punches, for doubly-CM and the square criterion; its purity
+(well-coveredness); and per characteristic its Betti numbers, its Reisner
+verdict and its Stanley verdict.  A second field, the other engine or
+another entry point on a class already met computes no canonical form
+again.  Both engines test purity before any homology: Gorenstein* implies
+Cohen-Macaulay, which implies pure, and purity needs only the maximal
+independent sets.
+
+Children are punched at one vertex per orbit.  The canonical search that
+keys a new record also stores automorphisms of its graph (``canon``), and
+the record keeps each vertex's orbit under the group they generate.  An
+automorphism s of G carries G minus N[v] onto G minus N[s(v)], so vertices
+of one orbit have isomorphic punches, and the same holds for G minus v.
+The stored automorphisms may generate only a subgroup of Aut(G); its
+orbits are then finer, which costs punches but never misses a class.  Twin
+transpositions are among them, so twins need no rule of their own.  A graph
+that arrives with its canonical form already kept (a generated level graph,
+say) is not searched again up front: its orbits are found when its
+children are first needed.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
+from .canon import automorphisms, form_and_automorphisms
 from .graph import Graph, GraphInputError, bits
 from .independence import _mis_masks, independence_number, is_well_covered
 
@@ -453,13 +468,19 @@ def betti_profile(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile
 class _Class:
     """One isomorphism class of graphs met by the link recursions.
 
-    ``graph`` is the first member seen; ``children`` are the distinct
-    classes of its punched graphs; ``pure`` is well-coveredness; ``betti``,
+    ``graph`` is the first member seen; ``orbit`` maps each of its vertices
+    to the least vertex of its orbit under the automorphisms its canonical
+    search stored; ``children``, ``deletions`` and ``edge_punches`` are the
+    distinct classes of its graphs minus N[v], minus v, and minus
+    N(x) | N(y) for an edge xy; ``pure`` is well-coveredness; ``betti``,
     ``cm`` and ``gor`` map a characteristic to the reduced Betti numbers,
     the Reisner verdict and the Gorenstein* verdict."""
 
     graph: Graph
+    orbit: bytes | None = None
     children: tuple | None = None
+    deletions: tuple | None = None
+    edge_punches: tuple | None = None
     pure: bool | None = None
     betti: dict = dc_field(default_factory=dict)
     cm: dict = dc_field(default_factory=dict)
@@ -474,32 +495,89 @@ def clear_caches():
     _PROFILE_CACHE.clear()
 
 
+def _char(field) -> int:
+    return field.characteristic if isinstance(field, FieldSpec) else int(field)
+
+
+def _orbits(n: int, autos) -> bytes:
+    """Each vertex's least orbit-mate under the group the permutations
+    generate (bytes: n is at most 64)."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for perm in autos:
+        for x in range(n):
+            a, b = find(x), find(perm[x])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return bytes(find(x) for x in range(n))
+
+
 def _class_of(g: Graph) -> _Class:
-    key = g.canonical_form()
+    """The record of g's class.  A graph without a canonical form is
+    searched once here, and a new record keeps the orbits of that search.
+    A graph that comes with its form (a level graph, say) is not searched
+    again up front: its record finds its orbits when it first needs them."""
+    key, autos = form_and_automorphisms(g)
     rec = _PROFILE_CACHE.get(key)
     if rec is None:
         rec = _PROFILE_CACHE[key] = _Class(g)
+        if autos is not None:
+            rec.orbit = _orbits(g.n, autos)
     return rec
 
 
+def _orbit(rec: _Class) -> bytes:
+    if rec.orbit is None:
+        rec.orbit = _orbits(rec.graph.n, automorphisms(rec.graph))
+    return rec.orbit
+
+
+def _reps(rec: _Class) -> list:
+    """One vertex per orbit."""
+    return [v for v, r in enumerate(_orbit(rec)) if v == r]
+
+
+def _classes(g: Graph, removed) -> tuple:
+    """The distinct classes of g minus each mask of ``removed``."""
+    full = g.full_mask
+    return tuple(dict.fromkeys(_class_of(g.keep_mask(full & ~mask)) for mask in dict.fromkeys(removed)))
+
+
 def _children(rec: _Class) -> tuple:
-    """The distinct classes of g minus N[v] over the vertices v of g.
-    Twins are skipped: true twins punch the same set, and swapping false
-    twins u, v is an automorphism carrying g minus N[u] onto g minus N[v].
-    One set holds both kinds of mask, as N(u) = N[w] would put u in N(u)."""
+    """The distinct classes of g minus N[v] over the vertices v of g, from
+    one v per orbit: an automorphism carrying v to w carries g minus N[v]
+    onto g minus N[w]."""
     if rec.children is None:
-        g = rec.graph
-        full = g.full_mask
-        seen = set()
-        children = []
-        for v in range(g.n):
-            closed = g.adj[v] | 1 << v
-            if g.adj[v] in seen or closed in seen:
-                continue
-            seen.update((g.adj[v], closed))
-            children.append(_class_of(g.keep_mask(full & ~closed)))
-        rec.children = tuple(dict.fromkeys(children))
+        adj = rec.graph.adj
+        rec.children = _classes(rec.graph, [adj[v] | 1 << v for v in _reps(rec)])
     return rec.children
+
+
+def _deletions(rec: _Class) -> tuple:
+    """The distinct classes of g minus v, from one v per orbit."""
+    if rec.deletions is None:
+        rec.deletions = _classes(rec.graph, [1 << v for v in _reps(rec)])
+    return rec.deletions
+
+
+def _edge_punches(rec: _Class) -> tuple:
+    """The distinct classes of g minus N(x) | N(y) over the edges xy of g.
+    Name each orbit by its least vertex.  Given an edge, let x be the end
+    whose orbit has the smaller name: an automorphism carrying x to that
+    name carries the edge onto one from a name to a vertex whose orbit's
+    name is no smaller, so those edges are enough."""
+    if rec.edge_punches is None:
+        adj = rec.graph.adj
+        orbit = _orbit(rec)
+        rec.edge_punches = _classes(
+            rec.graph, [adj[x] | adj[y] for x in _reps(rec) for y in bits(adj[x]) if orbit[y] >= x]
+        )
+    return rec.edge_punches
 
 
 def _pure(rec: _Class) -> bool:
@@ -552,8 +630,7 @@ def _gorenstein_star(rec: _Class, char: int) -> bool:
 
 
 def is_cm_graph(g: Graph, field) -> bool:
-    char = field.characteristic if isinstance(field, FieldSpec) else int(field)
-    return _reisner(_class_of(g), char)
+    return _reisner(_class_of(g), _char(field))
 
 
 def is_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
@@ -585,14 +662,28 @@ def is_doubly_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
 
 
 def is_doubly_cm_graph(g: Graph, field) -> bool:
-    if not is_cm_graph(g, field):
+    """CM, and so is g minus v with the same independence number, for
+    every vertex v.  The classes of g minus v stay on g's class record, so
+    only the first field builds them."""
+    char = _char(field)
+    rec = _class_of(g)
+    if not _reisner(rec, char):
         return False
     a = independence_number(g)
-    for v in g.labels:
-        h = g.delete_vertices([v])
-        if independence_number(h) != a or not is_cm_graph(h, field):
-            return False
-    return True
+    return all(independence_number(d.graph) == a and _reisner(d, char) for d in _deletions(rec))
+
+
+def edge_punches_cm(g: Graph, field) -> bool:
+    """Punching any edge xy of g (deleting N(x) | N(y)) leaves a CM graph
+    with independence number alpha(g) - 1; the empty graph counts as CM
+    with alpha 0.  The punched classes stay on g's class record, so only
+    the first field builds them."""
+    char = _char(field)
+    a = independence_number(g)
+    return all(
+        independence_number(p.graph) == a - 1 and _reisner(p, char)
+        for p in _edge_punches(_class_of(g))
+    )
 
 
 def is_gorenstein_graph(g: Graph, field) -> bool:
@@ -601,7 +692,7 @@ def is_gorenstein_graph(g: Graph, field) -> bool:
     vertices of g, so the core is the independence complex of g minus its
     isolated vertices; the empty graph's complex {emptyset} is Gorenstein,
     which makes K1 and K2 come out Gorenstein as they should."""
-    char = field.characteristic if isinstance(field, FieldSpec) else int(field)
+    char = _char(field)
     if not all(g.adj):
         g = g.keep_mask(sum(1 << v for v, row in enumerate(g.adj) if row))
     return _gorenstein_star(_class_of(g), char)

@@ -56,7 +56,10 @@ class SheddingCertificate:
     and as a canonical position so the step applies to any isomorphic copy.
     Replaying from the root graph re-checks the shedding condition at every
     step, recurses into G minus v and G minus N[v], and bottoms out at
-    edgeless graphs only.
+    edgeless graphs only.  Steps are looked up by canonical form and
+    position, so a certificate replays only under the canonical labelling
+    that wrote it: a change to ``canon`` that changes forms or positions
+    leaves old certificates unreplayable.
     """
 
     root_graph6: str

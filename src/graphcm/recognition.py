@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph
+from .complexes import DEFAULT_FIELDS, FieldSpec, edge_punches_cm, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .graph import Graph, INFINITY, PreconditionError, bits
 from .independence import independence_number, is_w2, is_well_covered
@@ -519,14 +519,7 @@ def square_cm_criterion(g: Graph, field) -> bool:
     if g.girth() < 4:
         raise PreconditionError("square_cm_criterion requires a triangle-free graph")
     char = field.characteristic if isinstance(field, FieldSpec) else int(field)
-    if not is_cm_graph(g, char):
-        return False
-    a = independence_number(g)
-    for u, v in g.edges():
-        h = g.punch_edge(u, v)
-        if independence_number(h) != a - 1 or not is_cm_graph(h, char):
-            return False
-    return True
+    return is_cm_graph(g, char) and edge_punches_cm(g, char)
 
 
 # -- aggregate report ---------------------------------------------------------------

@@ -224,6 +224,27 @@ def brute_exact_cover(universe: int, masks) -> bool:
     return rec(0, 0)
 
 
+def brute_refine(adj, cells):
+    """Colour refinement against every cell at once: split each cell by
+    the vector of neighbour counts in all cells, in the order of that
+    vector, until no cell splits.  Returns the equitable ordered partition
+    as a new list of cell bitmasks."""
+    while True:
+        out = []
+        for c in cells:
+            if c & (c - 1) == 0:
+                out.append(c)
+                continue
+            parts = {}
+            for v in bits(c):
+                key = tuple((adj[v] & d).bit_count() for d in cells)
+                parts[key] = parts.get(key, 0) | 1 << v
+            out.extend(parts[key] for key in sorted(parts))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
 _BRUTE_LEVELS = {}
 
 

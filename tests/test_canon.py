@@ -6,10 +6,10 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_is_isomorphic, graphs, to_nx
+from conftest import brute_is_isomorphic, brute_refine, graphs, to_nx
 
-from graphcm.canon import automorphisms, canonical_form, canonical_order, is_isomorphic, isomorphism_map
-from graphcm.graph import Graph, complete_bipartite, complete_graph, cycle_graph, path_graph
+from graphcm.canon import _refine, automorphisms, canonical_form, canonical_order, is_isomorphic, isomorphism_map
+from graphcm.graph import Graph, bits, complete_bipartite, complete_graph, cycle_graph, path_graph
 from graphcm.families import gen_G
 
 
@@ -166,6 +166,30 @@ def test_isomorphism_map_preserves_edges(g, rnd):
     assert sorted(phi) == sorted(g.labels) and sorted(phi.values()) == sorted(h.labels)
     assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges())
     assert g.m == h.m
+
+
+# -- refinement against a splitter stack ---------------------------------------
+
+
+def _is_equitable(adj, cells) -> bool:
+    return all(len({(adj[v] & d).bit_count() for v in bits(c)}) == 1 for c in cells for d in cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=1, max_n=10), st.randoms(use_true_random=False))
+def test_splitter_refinement_finds_the_cells_of_all_cells_refinement(g, rnd):
+    # from the unit partition, then down one random path of the search tree:
+    # individualise a vertex of a non-singleton cell of the equitable
+    # partition and refine against that vertex alone
+    adj, full = g.adj, g.full_mask
+    cells = _refine(adj, [full], [full])
+    assert _is_equitable(adj, cells) and set(cells) == set(brute_refine(adj, [full]))
+    while len(cells) < g.n:
+        k = rnd.choice([i for i, c in enumerate(cells) if c & (c - 1)])
+        v = rnd.choice(list(bits(cells[k])))
+        split = cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1:]
+        cells = _refine(adj, split, [1 << v])
+        assert _is_equitable(adj, cells) and set(cells) == set(brute_refine(adj, split))
 
 
 # -- automorphisms stored by the search ---------------------------------------

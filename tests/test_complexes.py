@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_reduced_betti, graphs
+from conftest import brute_reduced_betti, graphs, to_nx
 
 from graphcm import complexes, linalg
 from graphcm.complexes import (
@@ -25,7 +25,7 @@ from graphcm.complexes import (
     link,
     parse_fields,
 )
-from graphcm.graph import Graph, GraphInputError, complete_graph, cycle_graph, path_graph
+from graphcm.graph import Graph, GraphInputError, complete_bipartite, complete_graph, cycle_graph, path_graph
 from graphcm.independence import independence_number, is_w2, is_well_covered
 from graphcm.families import gen_G
 
@@ -413,3 +413,76 @@ def test_graph_engines_match_complex_oracles_on_atlas():
         for char in (2, 0, 3):
             assert is_gorenstein_graph(g, FieldSpec(char)) == _gorenstein_oracle(g, char), (g, char)
             assert is_cm_graph(g, char) == is_cm(bare, FieldSpec(char)), (g, char)
+
+
+# -- one punch per automorphism orbit -------------------------------------------
+
+
+def test_vertex_transitive_graphs_punch_once(monkeypatch):
+    # one orbit, so the children of C8 and of K3,3 cost one search each
+    from graphcm import canon
+
+    searches = _count_calls(monkeypatch, canon, "_search")
+    for g in (cycle_graph(8), complete_bipartite(3, 3)):
+        complexes.clear_caches()
+        rec = complexes._class_of(g)
+        del searches[:]
+        assert len(complexes._children(rec)) == 1
+        assert len(searches) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=1, max_n=8))
+def test_orbit_representatives_meet_every_punch(g):
+    import networkx as nx
+
+    complexes.clear_caches()
+    rec = complexes._class_of(g)
+    assert rec.graph is g
+    full = g.full_mask
+
+    def meets(removed, table):
+        kept = to_nx(g.keep_mask(full & ~removed))
+        return any(nx.is_isomorphic(kept, to_nx(c.graph)) for c in table)
+
+    for v in range(g.n):
+        assert meets(g.adj[v] | 1 << v, complexes._children(rec)), v
+        assert meets(1 << v, complexes._deletions(rec)), v
+    for u, v in g.edges():
+        assert meets(g.adj[u] | g.adj[v], complexes._edge_punches(rec)), (u, v)
+
+
+def test_second_field_doubly_cm_needs_no_search(monkeypatch):
+    from graphcm import canon
+    from graphcm.recognition import square_cm_criterion
+
+    complexes.clear_caches()
+    g = gen_G(4)
+    assert is_doubly_cm_graph(g, 0) and square_cm_criterion(g, 0)
+    searches = _count_calls(monkeypatch, canon, "_search")
+    assert is_doubly_cm_graph(g, 2) and square_cm_criterion(g, 2)
+    assert searches == []
+
+
+def test_doubly_and_square_cm_match_all_vertex_oracles_on_atlas():
+    import networkx as nx
+    from graphcm.recognition import square_cm_criterion
+
+    def bare_cm(h, char):
+        return is_cm(SimplicialComplex(h.labels, independence_complex(h).facets), FieldSpec(char))
+
+    complexes.clear_caches()
+    for nxg in nx.graph_atlas_g()[1:]:
+        if nxg.number_of_nodes() > 6:
+            break
+        g = Graph.from_edges(nxg.number_of_nodes(), list(nxg.edges()))
+        bare = SimplicialComplex(g.labels, independence_complex(g).facets)
+        a = independence_number(g)
+        for char in (2, 0):
+            assert is_doubly_cm_graph(g, char) == is_doubly_cm(bare, FieldSpec(char)), (g, char)
+            if g.girth() >= 4:
+                want = bare_cm(g, char) and all(
+                    independence_number(h) == a - 1 and bare_cm(h, char)
+                    for h in (g.punch_edge(u, v) for u, v in g.edges())
+                )
+                assert square_cm_criterion(g, char) == want, (g, char)
