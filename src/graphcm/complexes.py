@@ -29,12 +29,12 @@ canonical form (``_PROFILE_CACHE``).  A class record holds its children,
 the distinct classes of G minus N[v] over the vertices v, found once and
 then followed by reference; the classes of G minus v and of the edge
 punches, for doubly-CM and the square criterion; its purity
-(well-coveredness); and per characteristic its Betti numbers, its Reisner
-verdict and its Stanley verdict.  A second field, the other engine or
-another entry point on a class already met computes no canonical form
-again.  Both engines test purity before any homology: Gorenstein* implies
-Cohen-Macaulay, which implies pure, and purity needs only the maximal
-independent sets.
+(well-coveredness); its vertex-decomposability verdict (``decomposability``);
+and per characteristic its Betti numbers, its Reisner verdict and its
+Stanley verdict.  A second field, the other engine or another entry point
+on a class already met computes no canonical form again.  Both engines
+test purity before any homology: Gorenstein* implies Cohen-Macaulay,
+which implies pure, and purity needs only the maximal independent sets.
 
 Children are punched at one vertex per orbit.  The canonical search that
 keys a new record also stores automorphisms of its graph (``canon``), and
@@ -175,10 +175,6 @@ class SimplicialComplex:
                 uniq.append(f)
         uniq.sort(key=lambda f: (len(f), sorted(pos[v] for v in f)))
         object.__setattr__(self, "facets", tuple(uniq))
-
-    @classmethod
-    def from_faces(cls, universe, faces, graph=None):
-        return cls(tuple(universe), tuple(frozenset(f) for f in faces), graph)
 
     def is_void(self) -> bool:
         return not self.facets
@@ -472,9 +468,11 @@ class _Class:
     to the least vertex of its orbit under the automorphisms its canonical
     search stored; ``children``, ``deletions`` and ``edge_punches`` are the
     distinct classes of its graphs minus N[v], minus v, and minus
-    N(x) | N(y) for an edge xy; ``pure`` is well-coveredness; ``betti``,
-    ``cm`` and ``gor`` map a characteristic to the reduced Betti numbers,
-    the Reisner verdict and the Gorenstein* verdict."""
+    N(x) | N(y) for an edge xy; ``pure`` is well-coveredness; ``shed`` is
+    the canonical position of the shedding vertex the vertex-decomposability
+    search chose, or -1 (``decomposability``); ``betti``, ``cm`` and ``gor``
+    map a characteristic to the reduced Betti numbers, the Reisner verdict
+    and the Gorenstein* verdict."""
 
     graph: Graph
     orbit: bytes | None = None
@@ -482,6 +480,7 @@ class _Class:
     deletions: tuple | None = None
     edge_punches: tuple | None = None
     pure: bool | None = None
+    shed: int | None = None
     betti: dict = dc_field(default_factory=dict)
     cm: dict = dc_field(default_factory=dict)
     gor: dict = dc_field(default_factory=dict)

@@ -7,8 +7,14 @@ all vertices, so a negative answer is a genuine negative, and it splits
 into connected components first since a graph is vertex decomposable
 exactly when all its components are.
 
-Verdicts and shedding choices are memoised process-wide on canonical
-forms; positive answers come with a replayable certificate.
+Verdicts live on the table of isomorphism classes the link recursions use
+(``complexes._PROFILE_CACHE``): a class record's ``shed`` is the canonical
+position of the shedding vertex its search chose, or -1.  Positions
+survive relabeling, since isomorphic graphs place corresponding vertices at
+equal canonical positions.  One walk (``_walk``) follows positions through
+components, G minus v and G minus N[v], and checks at each step that the
+vertex sheds.  Fed from the table it writes a certificate; fed from a
+certificate it replays one.
 """
 
 from __future__ import annotations
@@ -16,34 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_order
+from .complexes import _PROFILE_CACHE, _class_of, clear_caches
 from .graph import Graph
 from .graphio import to_graph6
-from .independence import _mis_masks
+from .independence import _is_shedding
 
-# canonical form -> (decomposable, canonical position of the shedding vertex
-# or None).  Positions survive relabeling: isomorphic graphs place
-# corresponding vertices at equal canonical positions.
-_VD_CACHE: dict = {}
-
-
-def clear_cache():
-    _VD_CACHE.clear()
+# verdicts are kept on the class table, so this resets them with the rest
+clear_cache = clear_caches
 
 
 def is_shedding_vertex(g: Graph, v) -> bool:
     """True iff every maximal independent set of G minus v meets N(v)."""
-    return _is_shedding_index(g, g.index(v))
-
-
-def _is_shedding_index(g: Graph, i: int) -> bool:
-    nmask = g.adj[i]
-    h = g.keep_mask(g.full_mask & ~(1 << i))
-    # indices above i shift down by one in h
-    nmask_h = (nmask & ((1 << i) - 1)) | ((nmask >> (i + 1)) << i)
-    for mask in _mis_masks(h):
-        if mask & nmask_h == 0:
-            return False
-    return True
+    return _is_shedding(g, g.index(v))
 
 
 @dataclass(frozen=True)
@@ -82,80 +72,66 @@ def is_vertex_decomposable(g: Graph, want_certificate: bool = False):
     are tried by descending degree with label-order ties, which only
     affects which certificate is found, never the verdict.
     """
-    steps = [] if want_certificate else None
-    ok = _vd(g, steps)
+    ok = _vd(g)
     cert = None
     if ok and want_certificate:
-        cert = SheddingCertificate(root_graph6=to_graph6(g), steps=tuple(steps))
+        steps = {}
+        _walk(g, lambda key: _PROFILE_CACHE[key].shed, steps)
+        cert = SheddingCertificate(to_graph6(g), tuple((key,) + step for key, step in steps.items()))
     return ok, cert
 
 
-def _record(steps, canon, g, idx):
-    if all(s[0] != canon for s in steps):
-        steps.append((canon, to_graph6(g), g.labels[idx], canonical_order(g).index(idx)))
-
-
-def _vd(g: Graph, steps) -> bool:
+def _vd(g: Graph) -> bool:
     if g.is_edgeless():
         return True
     comps = g.component_masks()
     if len(comps) > 1:
-        results = [_vd(g.keep_mask(mask), steps) for mask in comps]
-        return all(results)
-    canon_order = canonical_order(g)  # before the form: one search gives both
-    canon = g.canonical_form()
-    full = g.full_mask
-    hit = _VD_CACHE.get(canon)
-    if hit is not None:
-        verdict, pos = hit
-        if not verdict or steps is None:
-            return verdict
-        idx = canon_order[pos]
-        _record(steps, canon, g, idx)
-        _vd(g.keep_mask(full & ~(1 << idx)), steps)
-        _vd(g.keep_mask(full & ~(g.adj[idx] | 1 << idx)), steps)
-        return True
+        # every component is searched, even after a failure: which copy of
+        # a class is searched first fixes its shedding position
+        return all([_vd(g.keep_mask(mask)) for mask in comps])
+    order = canonical_order(g)  # before the class: one search gives both
+    rec = _class_of(g)
+    if rec.shed is None:
+        rec.shed = -1
+        full = g.full_mask
+        for i in sorted(range(g.n), key=lambda i: (-g.adj[i].bit_count(), str(g.labels[i]))):
+            if (
+                _is_shedding(g, i)
+                and _vd(g.keep_mask(full & ~(1 << i)))
+                and _vd(g.keep_mask(full & ~(g.adj[i] | 1 << i)))
+            ):
+                rec.shed = order.index(i)
+                break
+    return rec.shed >= 0
 
-    order = sorted(range(g.n), key=lambda i: (-g.adj[i].bit_count(), str(g.labels[i])))
-    for idx in order:
-        if not _is_shedding_index(g, idx):
-            continue
-        rest = g.keep_mask(full & ~(1 << idx))
-        punched = g.keep_mask(full & ~(g.adj[idx] | 1 << idx))
-        sub = [] if steps is not None else None
-        if _vd(rest, sub) and _vd(punched, sub):
-            _VD_CACHE[canon] = (True, canon_order.index(idx))
-            if steps is not None:
-                _record(steps, canon, g, idx)
-                for entry in sub:
-                    if all(s[0] != entry[0] for s in steps):
-                        steps.append(entry)
-            return True
-    _VD_CACHE[canon] = (False, None)
-    return False
+
+def _walk(g: Graph, position, steps=None) -> bool:
+    """Decompose g along the canonical positions ``position(form)`` gives
+    (None when it has none): True iff every step's vertex sheds and every
+    leaf is edgeless.  ``steps``, if given, maps each class met to its
+    graph6, shed label and position at its first visit."""
+    if g.is_edgeless():
+        return True
+    comps = g.component_masks()
+    if len(comps) > 1:
+        return all(_walk(g.keep_mask(mask), position, steps) for mask in comps)
+    order = canonical_order(g)  # before the form: one search gives both
+    key = g.canonical_form()
+    pos = position(key)
+    if pos is None or not 0 <= pos < g.n:
+        return False
+    i = order[pos]
+    if not _is_shedding(g, i):
+        return False
+    if steps is not None and key not in steps:
+        steps[key] = (to_graph6(g), g.labels[i], pos)
+    full = g.full_mask
+    return _walk(g.keep_mask(full & ~(1 << i)), position, steps) and _walk(
+        g.keep_mask(full & ~(g.adj[i] | 1 << i)), position, steps
+    )
 
 
 def replay_certificate(g: Graph, cert: SheddingCertificate) -> bool:
     """Re-execute a certificate: the shedding condition must hold at every
     recorded step and every leaf must be edgeless."""
-    table = cert.step_map()
-
-    def walk(h: Graph) -> bool:
-        if h.is_edgeless():
-            return True
-        comps = h.component_masks()
-        if len(comps) > 1:
-            return all(walk(h.keep_mask(mask)) for mask in comps)
-        order = canonical_order(h)  # before the form: one search gives both
-        pos = table.get(h.canonical_form())
-        if pos is None:
-            return False
-        idx = order[pos]
-        if not _is_shedding_index(h, idx):
-            return False
-        full = h.full_mask
-        return walk(h.keep_mask(full & ~(1 << idx))) and walk(
-            h.keep_mask(full & ~(h.adj[idx] | 1 << idx))
-        )
-
-    return walk(g)
+    return _walk(g, cert.step_map().get)

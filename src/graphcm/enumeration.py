@@ -167,8 +167,8 @@ class EnumFilter:
         return sets[1:]
 
     def _cactus_candidates(self, g: Graph) -> list:
-        n, adj = g.n, g.adj
-        blocks = [g.mask_of(b) for b in g.blocks().blocks]
+        n = g.n
+        blocks = g.block_masks()
         bridge = [0] * n
         for b in blocks:
             if b.bit_count() == 2:
@@ -181,11 +181,7 @@ class EnumFilter:
             reach = _ball(bridge, a, n)
             out += [1 << a | 1 << b for b in bits(reach >> (a + 1) << (a + 1))]
         if not self.cactus_only:
-            out += [
-                b
-                for b in blocks
-                if b.bit_count() >= 3 and all(adj[a] & b == b & ~(1 << a) for a in bits(b))
-            ]
+            out += [b for b in blocks if b.bit_count() >= 3 and g.is_clique(b)]
         return sorted(out)
 
     def passes(self, g: Graph) -> bool:
@@ -508,6 +504,8 @@ def verify_theorem(
     notes = [desc]
 
     if theorem_id == "EG1":
+        if input_path is not None:
+            raise GraphInputError("EG1 runs over the family G_k and reads no input stream")
         bad = []
         for k in range(1, n_max + 1):
             g = gen_G(k)

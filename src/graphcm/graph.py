@@ -245,9 +245,6 @@ class Graph:
         adj.append(nbr_mask)
         return Graph._unchecked(self.labels + (n,), tuple(adj))
 
-    def relabel(self, mapping) -> "Graph":
-        return Graph(tuple(mapping[v] for v in self.labels), self.adj)
-
     # -- connectivity ------------------------------------------------------
 
     def component_masks(self) -> list:
@@ -320,8 +317,12 @@ class Graph:
                     out.append(e)
         return tuple(out)
 
-    def blocks(self) -> "BlockDecomposition":
-        """Block / cut-vertex decomposition (DFS lowpoint algorithm).
+    def is_clique(self, mask: int) -> bool:
+        """Whether the internal-index set ``mask`` induces a complete graph."""
+        return all(self.adj[a] & mask == mask & ~(1 << a) for a in bits(mask))
+
+    def block_masks(self) -> list:
+        """The blocks as internal-index masks (DFS lowpoint algorithm).
 
         Isolated vertices form single-vertex blocks so that every vertex
         lies in at least one block; every edge lies in exactly one block.
@@ -331,7 +332,6 @@ class Graph:
         depth = [0] * n
         low = [0] * n
         block_masks = []
-        cut = set()
         edge_stack = []
         timer = [0]
 
@@ -339,18 +339,14 @@ class Graph:
             visited[u] = True
             depth[u] = low[u] = timer[0]
             timer[0] += 1
-            children = 0
             for v in bits(self.adj[u]):
                 if v == pu:
                     continue
                 if not visited[v]:
                     edge_stack.append((u, v))
-                    children += 1
                     dfs(v, u)
                     low[u] = min(low[u], low[v])
                     if low[v] >= depth[u]:
-                        if pu != -1:
-                            cut.add(u)
                         comp = 0
                         while True:
                             x, y = edge_stack.pop()
@@ -361,7 +357,6 @@ class Graph:
                 elif depth[v] < depth[u]:
                     edge_stack.append((u, v))
                     low[u] = min(low[u], depth[v])
-            return children
 
         for root in range(n):
             if visited[root]:
@@ -370,11 +365,18 @@ class Graph:
                 visited[root] = True
                 block_masks.append(1 << root)
                 continue
-            if dfs(root, -1) >= 2:
-                cut.add(root)
+            dfs(root, -1)
+        return block_masks
 
-        blocks = tuple(self.label_set(mask) for mask in block_masks)
-        return BlockDecomposition(blocks=blocks, cut_vertices=frozenset(self.labels[i] for i in cut))
+    def blocks(self) -> "BlockDecomposition":
+        """Block / cut-vertex decomposition: ``block_masks`` as label sets,
+        and the cut vertices, which are the vertices in more than one block."""
+        masks = self.block_masks()
+        seen = cut = 0
+        for mask in masks:
+            cut |= seen & mask
+            seen |= mask
+        return BlockDecomposition(tuple(self.label_set(mask) for mask in masks), self.label_set(cut))
 
     # -- misc ---------------------------------------------------------------
 

@@ -1,11 +1,19 @@
 """Independent-set machinery: maximal independent sets, the independence
-number, and the well-covered / W2 predicates.
+number, the shedding test, and the well-covered / W2 predicates.
 
 Maximal independent sets are enumerated as maximal cliques of the
 complement (Bron-Kerbosch with pivoting).  The public stream is sorted
 lexicographically by bitmask so repeated runs see identical order; callers
 that only need existence use the unordered internal enumerator and stop
 early.
+
+A vertex v of G is *shedding* (Woodroofe) when no maximal independent set
+of G minus v avoids N(v).  Each maximal independent set S of G minus v is
+one of two kinds: if S meets N(v) it is maximal in G too, and if it misses
+N(v) then S + v is.  On a well-covered G the first kind has alpha(G)
+vertices and the second alpha(G) - 1.  So G minus v is well-covered with
+alpha(G minus v) = alpha(G) iff v is shedding, and G is W2 iff it is
+well-covered and every vertex sheds.
 """
 
 from __future__ import annotations
@@ -55,6 +63,15 @@ def _mis_masks(g: Graph):
             x |= 1 << v
 
     yield from expand(0, full, 0)
+
+
+def _is_shedding(g: Graph, i: int) -> bool:
+    """True iff every maximal independent set of g minus vertex i meets N(i)."""
+    h = g.keep_mask(g.full_mask & ~(1 << i))
+    nmask = g.adj[i]
+    # indices above i shift down by one in h
+    nmask_h = (nmask & ((1 << i) - 1)) | ((nmask >> (i + 1)) << i)
+    return all(mask & nmask_h for mask in _mis_masks(h))
 
 
 def maximal_independent_sets(g: Graph):
@@ -116,12 +133,6 @@ def independent_set_report(g: Graph) -> IndependentSetReport:
 
 def is_w2(g: Graph) -> bool:
     """Well covered, and still well covered with the same independence
-    number after deleting any single vertex."""
-    if not is_well_covered(g):
-        return False
-    a = independence_number(g)
-    for v in g.labels:
-        h = g.delete_vertices([v])
-        if not is_well_covered(h) or independence_number(h) != a:
-            return False
-    return True
+    number after deleting any single vertex: on a well-covered graph that
+    is every vertex shedding (see the module docstring)."""
+    return is_well_covered(g) and all(_is_shedding(g, i) for i in range(g.n))

@@ -40,7 +40,7 @@ def is_planar(g: Graph) -> bool:
     """True iff g has a plane embedding."""
     if _few_branch_vertices(g.adj):
         return True
-    return all(_block_planar(g.adj, g.mask_of(block)) for block in g.blocks().blocks)
+    return all(_block_planar(g.adj, block) for block in g.block_masks())
 
 
 def _few_branch_vertices(rows) -> bool:

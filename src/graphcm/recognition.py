@@ -17,16 +17,18 @@ an exact-cover backtracking over candidate pieces; candidate basicness is
 always judged against the full graph, and certificates are witnesses, not
 canonical objects.
 
-Basic cycles are built from the edges whose two ends have degree two in
-g, never by listing all cycles.  The vertices of degree >= 3 on a basic
-5-cycle are pairwise non-adjacent, and no three vertices of a 5-cycle are,
-so at most 2 of them have degree >= 3 and at least 3 have degree two; two
-of those are consecutive.  So every basic 5-cycle runs through such an
-edge x-y, and it is x-y-r-z-s, where s and r are the other neighbours of
-x and y and z is a common neighbour of r and s.  A 4-cycle through x-y is
-x-y-r-s, so there is one per such edge, when r != s and r ~ s.  The
-cycles are then put in the orientation and the (lexicographic) order
-that a full cycle listing (_cycles_of_length) gives them.
+Basic cycles are built from the vertices of degree two in g, never by
+listing all cycles.  A basic 3-cycle is a degree-2 vertex with its two
+neighbours, when they are adjacent.  The vertices of degree >= 3 on a
+basic 5-cycle are pairwise non-adjacent, and no three vertices of a
+5-cycle are, so at most 2 of them have degree >= 3 and at least 3 have
+degree two; two of those are consecutive.  So every basic 5-cycle runs
+through an edge x-y whose two ends have degree two, and it is x-y-r-z-s,
+where s and r are the other neighbours of x and y and z is a common
+neighbour of r and s.  A 4-cycle through such an edge x-y is x-y-r-s, so
+there is one per such edge, when r != s and r ~ s.  Each cycle is a tuple
+of vertex indices with its smallest vertex first and its second below its
+last (``_oriented``), and lists are in lexicographic order.
 """
 
 from __future__ import annotations
@@ -57,30 +59,7 @@ def is_simplicial_graph(g: Graph) -> bool:
     return _piece_cover(g, simplicial_vertices(g), ()) == g.full_mask
 
 
-# -- cycle enumeration ----------------------------------------------------------
-
-
-def _cycles_of_length(g: Graph, length: int) -> list:
-    """All cycles of the given length as index tuples, one per cycle:
-    smallest vertex first, orientation fixed by second < last."""
-    adj = g.adj
-    out = []
-
-    def dfs(start, path, used):
-        u = path[-1]
-        if len(path) == length:
-            if adj[u] >> start & 1 and path[1] < path[-1]:
-                out.append(tuple(path))
-            return
-        for v in bits(adj[u] & ~used):
-            if v > start:
-                path.append(v)
-                dfs(start, path, used | 1 << v)
-                path.pop()
-
-    for a in range(g.n):
-        dfs(a, [a], 1 << a)
-    return out
+# -- cycles ------------------------------------------------------------------------
 
 
 def _has_cycle_of_length(g: Graph, length: int) -> bool:
@@ -99,8 +78,8 @@ def _has_cycle_of_length(g: Graph, length: int) -> bool:
 
 
 def _oriented(cyc: tuple) -> tuple:
-    """The orientation _cycles_of_length uses: smallest vertex first,
-    second < last."""
+    """The cycle read from its smallest vertex, in the direction whose
+    second vertex is below the last."""
     k = cyc.index(min(cyc))
     cyc = cyc[k:] + cyc[:k]
     return cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
@@ -120,17 +99,22 @@ def _degree_two_edges(g: Graph):
 
 
 def basic_3_cycles(g: Graph) -> list:
-    """Triangles containing at least one vertex of degree two."""
-    out = []
-    for cyc in _cycles_of_length(g, 3):
-        if any(g.adj[v].bit_count() == 2 for v in cyc):
-            out.append(tuple(g.labels[v] for v in cyc))
-    return out
+    """Triangles containing at least one vertex of degree two, oriented
+    and in lexicographic order."""
+    adj = g.adj
+    found = set()
+    for v, row in enumerate(adj):
+        if row.bit_count() == 2:
+            a, b = bits(row)
+            if adj[a] >> b & 1:
+                found.add(_oriented((v, a, b)))
+    labels = g.labels
+    return [tuple(labels[u] for u in cyc) for cyc in sorted(found)]
 
 
 def basic_5_cycles(g: Graph) -> list:
-    """5-cycles with no two adjacent vertices of degree three or more, in
-    the order and orientation of _cycles_of_length.
+    """5-cycles with no two adjacent vertices of degree three or more,
+    oriented and in lexicographic order.
 
     Each is built from a degree-2 edge x-y it runs through, as
     x-y-r-z-s with s, r the other neighbours of x, y and z a common
@@ -157,8 +141,8 @@ def basic_5_cycles(g: Graph) -> list:
 
 def _basic_4_cycles(g: Graph, allowed: int) -> list:
     """basic_4_cycles with the mask of vertices in a simplex or a basic
-    5-cycle given; the order is that of _cycles_of_length, then the
-    position of the pair on the cycle."""
+    5-cycle given; ordered by the oriented cycle, then by the position
+    of the pair on it."""
     adj = g.adj
     found = []
     for x, y, s, r in _degree_two_edges(g):
@@ -449,39 +433,20 @@ def t3_simplicial_condition(g: Graph) -> bool:
     return is_well_covered(g)
 
 
-def _induced_block(g: Graph, block) -> Graph:
-    return g.keep_mask(g.mask_of(block))
-
-
-def _block_is_complete(sub: Graph) -> bool:
-    return sub.m == sub.n * (sub.n - 1) // 2
-
-
-def _block_is_cycle(sub: Graph) -> bool:
-    return sub.n >= 3 and sub.m == sub.n and all(row.bit_count() == 2 for row in sub.adj)
-
-
 def is_block_cactus(g: Graph) -> bool:
-    """Every block complete or a cycle."""
-    for block in g.blocks().blocks:
-        sub = _induced_block(g, block)
-        if not (_block_is_complete(sub) or _block_is_cycle(sub)):
-            return False
-    return True
+    """Every block complete or a cycle.  A block is connected, so it is a
+    cycle when each of its vertices has two neighbours in it."""
+    adj = g.adj
+    return all(g.is_clique(b) or all((adj[a] & b).bit_count() == 2 for a in bits(b)) for b in g.block_masks())
 
 
 def is_cactus(g: Graph) -> bool:
     """Connected, with every block an edge or a cycle (single vertices are
     trivially allowed)."""
-    if not g.is_connected():
-        return False
-    for block in g.blocks().blocks:
-        sub = _induced_block(g, block)
-        if sub.n <= 2:
-            continue
-        if not _block_is_cycle(sub):
-            return False
-    return True
+    adj = g.adj
+    return g.is_connected() and all(
+        b.bit_count() <= 2 or all((adj[a] & b).bit_count() == 2 for a in bits(b)) for b in g.block_masks()
+    )
 
 
 def cactus_cm_condition(g: Graph) -> bool:

@@ -121,6 +121,17 @@ def test_verify_reports(capsys, tmp_path):
     assert "counterexample_count: 0" in out_path.read_text()
 
 
+def test_verify_eg1_rejects_an_input_stream(capsys, tmp_path):
+    # EG1 runs over the family G_k, so a stream given to it is a usage
+    # error, whether or not the file exists
+    c5 = tmp_path / "c5.g6"
+    c5.write_text(to_graph6(cycle_graph(5)) + "\n")
+    for path in (c5, tmp_path / "missing.g6"):
+        code, _, err = run(capsys, "verify", "EG1", "--input", str(path))
+        assert code == 2
+        assert "EG1" in err
+
+
 def test_verify_structured_stable(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 from hypothesis import given, settings
 
 from conftest import graphs
 
-from graphcm.complexes import SimplicialComplex, independence_complex, link, delete, is_cm_graph, DEFAULT_FIELDS
+from graphcm.canon import canonical_order
+from graphcm.complexes import SimplicialComplex, clear_caches, independence_complex, link, delete, is_cm_graph, DEFAULT_FIELDS
 from graphcm.decomposability import is_shedding_vertex, is_vertex_decomposable, replay_certificate
+from graphcm.graphio import from_graph6
 from graphcm.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
 from graphcm.families import gen_G, gen_H
 
@@ -57,6 +61,51 @@ def test_certificates_replay():
         assert "shed=" in cert.to_text()
     ok, cert = is_vertex_decomposable(Graph.empty(3), want_certificate=True)
     assert ok and cert.steps == ()
+
+
+CERT_GRAPHS = (
+    cycle_graph(5),
+    path_graph(6),
+    disjoint_union(cycle_graph(5), path_graph(4)),
+    gen_G(4),
+    gen_H(4),
+    complete_graph(4),
+)
+
+
+def test_certificate_is_the_same_from_a_cold_or_a_warm_table():
+    for g in CERT_GRAPHS:
+        clear_caches()
+        ok, cold = is_vertex_decomposable(g, want_certificate=True)
+        clear_caches()
+        assert is_vertex_decomposable(g)[0] == ok
+        _, warm = is_vertex_decomposable(g, want_certificate=True)
+        assert ok and cold.to_text() == warm.to_text()
+        assert replay_certificate(g, cold) and replay_certificate(g, warm)
+
+
+def test_certificate_with_a_non_shedding_step_fails_replay():
+    moved = 0
+    for g in CERT_GRAPHS:
+        _, cert = is_vertex_decomposable(g, want_certificate=True)
+        for k, (canon, g6, _shed, _pos) in enumerate(cert.steps):
+            h = from_graph6(g6)
+            order = canonical_order(h)
+            bad = [p for p in range(h.n) if not is_shedding_vertex(h, h.labels[order[p]])]
+            if bad:
+                steps = list(cert.steps)
+                steps[k] = (canon, g6, h.labels[order[bad[0]]], bad[0])
+                assert not replay_certificate(g, replace(cert, steps=tuple(steps)))
+                moved += 1
+    assert moved >= len(CERT_GRAPHS)
+
+
+def test_certificate_with_a_position_out_of_range_fails_replay():
+    g = cycle_graph(5)
+    _, cert = is_vertex_decomposable(g, want_certificate=True)
+    canon, g6, shed, _pos = cert.steps[0]
+    for pos in (-1, g.n):
+        assert not replay_certificate(g, replace(cert, steps=((canon, g6, shed, pos),) + cert.steps[1:]))
 
 
 def test_certificate_rejects_wrong_graph():

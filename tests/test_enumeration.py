@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_cycles
+
 from graphcm.canon import canonical_form, is_isomorphic
 from graphcm.graph import Graph, UnsupportedSizeError, cycle_graph, path_graph, complete_graph
 from graphcm.graphio import from_graph6, to_graph6
@@ -59,15 +61,11 @@ def test_filters_prune_consistently():
     want = {
         canonical_form(g)
         for g in enumerate_connected(6)
-        if not any(_has_cycle(g, L) for L in (4, 5))
+        if not any(brute_cycles(g, L) for L in (4, 5))
     }
     assert got == want
 
 
-def _has_cycle(g, L):
-    from graphcm.recognition import _cycles_of_length
-
-    return bool(_cycles_of_length(g, L))
 
 
 def test_block_cactus_filter():

@@ -1,3 +1,4 @@
+import networkx as nx
 from hypothesis import given, settings
 
 from conftest import brute_alpha, brute_maximal_independent_sets, graphs
@@ -68,3 +69,27 @@ def test_disjoint_union_additivity(g, h):
     u = disjoint_union(g, h)
     assert independence_number(u) == independence_number(g) + independence_number(h)
     assert is_well_covered(u) == (is_well_covered(g) and is_well_covered(h))
+
+
+def _brute_is_w2(g):
+    """W2 by definition: every maximal independent set of g, and of each g
+    minus v, has alpha(g) vertices."""
+
+    def sizes(h):
+        return {mask.bit_count() for mask in brute_maximal_independent_sets(h)}
+
+    a = sizes(g)
+    return len(a) == 1 and all(sizes(g.delete_vertices([v])) == a for v in g.labels)
+
+
+def test_w2_matches_definition_on_atlas():
+    atlas = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    assert sum(is_w2(g) for g in atlas) > 10
+    for g in atlas:
+        assert is_w2(g) == _brute_is_w2(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(1, 8))
+def test_w2_matches_definition(g):
+    assert is_w2(g) == _brute_is_w2(g)
