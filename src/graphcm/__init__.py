@@ -63,7 +63,6 @@ from .planarity import is_planar
 from .recognition import (
     ClassificationReport,
     PcCertificate,
-    ScCertificate,
     SqcCertificate,
     basic_3_cycles,
     basic_4_cycles,

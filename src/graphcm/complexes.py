@@ -22,10 +22,15 @@ ranks the bounds leave open.  The GF(2) ranks are that first stage, so a
 rational profile brings the GF(2) profile with it.  Verdicts never
 collapse fields silently; callers pass the characteristics they care about.
 
-For independence complexes everything runs at graph level: the link of a
-face F in Delta(G) is Delta(G minus N[F]), again an independence complex.
-The recursions walk one process-wide table of isomorphism classes keyed by
-canonical form (``_PROFILE_CACHE``).  A class record holds its children,
+The functions on a ``SimplicialComplex`` (``link``, ``delete``, ``core``,
+``betti_profile``, ``is_cm``, ``is_doubly_cm``) work face by face on any
+complex, an independence complex included; they are the slow, direct
+definitions and serve as oracles.  Graphs have their own entry points
+(``graph_betti``, ``is_cm_graph``, ``is_gorenstein_graph``, ...), which run
+at graph level: the link of a face F in Delta(G) is Delta(G minus N[F]),
+again an independence complex.  These recursions walk one process-wide
+table of isomorphism classes keyed by canonical form
+(``_PROFILE_CACHE``).  A class record holds its children,
 the distinct classes of G minus N[v] over the vertices v, found once and
 then followed by reference; the classes of G minus v and of the edge
 punches, for doubly-CM and the square criterion; its purity
@@ -155,7 +160,6 @@ class SimplicialComplex:
 
     universe: tuple
     facets: tuple
-    graph: Graph | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pos = {v: i for i, v in enumerate(self.universe)}
@@ -221,7 +225,7 @@ class SimplicialComplex:
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Delta(G): faces are the independent sets, facets the maximal ones."""
     facets = tuple(g.label_set(mask) for mask in sorted(_mis_masks(g)))
-    return SimplicialComplex(g.labels, facets, graph=g)
+    return SimplicialComplex(g.labels, facets)
 
 
 def to_facet_list(delta: SimplicialComplex) -> str:
@@ -256,13 +260,7 @@ def link(delta: SimplicialComplex, face) -> SimplicialComplex:
         raise GraphInputError(f"{set(face)!r} is not a face of the complex")
     facets = tuple(s - f for s in delta.facets if f <= s)
     universe = tuple(v for v in delta.universe if v not in f)
-    graph = None
-    if delta.graph is not None:
-        punched = set()
-        for v in f:
-            punched |= delta.graph.closed_neighborhood(v)
-        graph = delta.graph.delete_vertices(punched)
-    return SimplicialComplex(universe, facets, graph=graph)
+    return SimplicialComplex(universe, facets)
 
 
 def delete(delta: SimplicialComplex, vertices) -> SimplicialComplex:
@@ -272,10 +270,7 @@ def delete(delta: SimplicialComplex, vertices) -> SimplicialComplex:
         raise GraphInputError(f"vertices {sorted(map(repr, unknown))} not in universe")
     facets = tuple(s - u for s in delta.facets)
     universe = tuple(v for v in delta.universe if v not in u)
-    graph = None
-    if delta.graph is not None:
-        graph = delta.graph.delete_vertices(u & set(delta.graph.labels))
-    return SimplicialComplex(universe, facets, graph=graph)
+    return SimplicialComplex(universe, facets)
 
 
 def cone_points(delta: SimplicialComplex) -> frozenset:
@@ -452,8 +447,6 @@ def betti_profile(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile
     """Exact reduced homology ranks of the complex over the given field,
     empty face included (so {emptyset} has a single 1 in dimension -1)."""
     char = field.characteristic
-    if delta.graph is not None:
-        return HomologyProfile(char, graph_betti(delta.graph, char))
     return HomologyProfile(char, _profile_from_cards(_faces_by_card_from_complex(delta), char))
 
 
@@ -633,9 +626,7 @@ def is_cm_graph(g: Graph, field) -> bool:
 
 
 def is_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
-    """Reisner criterion; graph-backed complexes use the cached recursion."""
-    if delta.graph is not None:
-        return is_cm_graph(delta.graph, field)
+    """Reisner criterion, one link per face."""
     if delta.is_void():
         return True
     if not delta.is_pure():

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 from . import recognition
 from .canon import automorphisms, is_isomorphic
-from .complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph, is_gorenstein_graph
+from .complexes import DEFAULT_FIELDS, FieldSpec, _char, is_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .families import gen_G
 from .graph import Graph, GraphInputError, UnsupportedSizeError, bits
@@ -345,10 +345,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _chars(fields) -> tuple:
-    return tuple(f.characteristic if isinstance(f, FieldSpec) else int(f) for f in fields)
-
-
 def _cm_all_fields(g: Graph, chars) -> bool:
     return all(is_cm_graph(g, c) for c in chars)
 
@@ -378,16 +374,7 @@ def _pred_t2(g, chars):
 def _pred_cor_g6(g, chars):
     if g.n == 1:
         return True
-    pend = g.pendant_edges()
-    matched = set()
-    ok = True
-    for u, v in pend:
-        if u in matched or v in matched:
-            ok = False
-            break
-        matched |= {u, v}
-    perfect = ok and matched == set(g.labels)
-    return _cm_all_fields(g, chars) == perfect
+    return _cm_all_fields(g, chars) == (recognition._pendant_mask(g) == g.full_mask)
 
 
 def _pred_t3(g, chars):
@@ -419,6 +406,10 @@ def _pred_w2_gor(g, chars):
     if not _gorenstein_all_fields(g, chars):
         return True
     return is_w2(g)
+
+
+def _pred_eg1(g, chars):
+    return all(square_cm_criterion(g, c) for c in chars)
 
 
 _THEOREMS = {
@@ -466,7 +457,8 @@ _THEOREMS = {
         7,
         _pred_w2_gor,
     ),
-    "EG1": ("square criterion holds along the family", None, 5, None),
+    # no filter: EG1 runs over the family G_k, k = 1..n_max
+    "EG1": ("square criterion holds along the family", None, 5, _pred_eg1),
 }
 
 
@@ -499,29 +491,20 @@ def verify_theorem(
     desc, filt, default_cap, pred = _THEOREMS[theorem_id]
     if n_max is None:
         n_max = default_cap
-    chars = _chars(fields)
+    if n_max < 1:
+        raise GraphInputError(f"n_max must be at least 1, got {n_max}")
+    if workers < 1:
+        raise GraphInputError(f"workers must be at least 1, got {workers}")
+    chars = tuple(map(_char, fields))
     start = time.monotonic()
     notes = [desc]
 
-    if theorem_id == "EG1":
+    if filt is None:
         if input_path is not None:
-            raise GraphInputError("EG1 runs over the family G_k and reads no input stream")
-        bad = []
-        for k in range(1, n_max + 1):
-            g = gen_G(k)
-            if not all(square_cm_criterion(g, c) for c in chars):
-                bad.append(to_graph6(g))
-        return VerificationReport(
-            theorem=theorem_id,
-            n_max=n_max,
-            fields=chars,
-            graphs_checked=n_max,
-            counterexamples=tuple(sorted(bad)),
-            elapsed_s=time.monotonic() - start,
-            notes=("n indexes the family here",) + tuple(notes),
-        )
-
-    if input_path is not None:
+            raise GraphInputError(f"{theorem_id} runs over the family G_k and reads no input stream")
+        stream = [gen_G(k) for k in range(1, n_max + 1)]
+        notes.insert(0, "n indexes the family here")
+    elif input_path is not None:
         stream = [g for g in read_graph6_file(input_path) if g.n <= n_max and filt.passes(g)]
         notes.append(f"external stream: {input_path}")
     else:

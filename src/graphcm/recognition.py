@@ -10,12 +10,15 @@ The partition classes work with three kinds of pieces:
   graph; only its two degree-2 vertices enter the partition.
 
 SQC asks for vertex-disjoint pieces of all three kinds covering V(G)
-exactly; SC forbids 4-cycle pieces; PC asks for the pendant edges to
-perfectly match the vertices incident with pendant edges and for
-vertex-disjoint basic 5-cycles to cover everything else.  Recognition is
-an exact-cover backtracking over candidate pieces; candidate basicness is
-always judged against the full graph, and certificates are witnesses, not
-canonical objects.
+exactly; SC is SQC without 4-cycle pieces, so one exact-cover search
+serves both and an SC certificate is an SQC certificate with t = 0.  PC
+asks for the pendant edges to perfectly match the vertices incident with
+pendant edges and for vertex-disjoint basic 5-cycles to cover everything
+else.  A leaf lies on one edge only, so such a matching uses every pendant
+edge, and it exists exactly when no two pendant edges meet
+(``_pendant_mask``).  Recognition is an exact-cover backtracking over
+candidate pieces; candidate basicness is always judged against the full
+graph, and certificates are witnesses, not canonical objects.
 
 Basic cycles are built from the vertices of degree two in g, never by
 listing all cycles.  A basic 3-cycle is a degree-2 vertex with its two
@@ -33,9 +36,9 @@ last (``_oriented``), and lists are in lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 
-from .complexes import DEFAULT_FIELDS, FieldSpec, edge_punches_cm, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph
+from .complexes import DEFAULT_FIELDS, FieldSpec, _char, edge_punches_cm, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .graph import Graph, INFINITY, PreconditionError, bits
 from .independence import independence_number, is_w2, is_well_covered
@@ -175,13 +178,25 @@ def basic_4_cycles(g: Graph) -> list:
     return _basic_4_cycles(g, _piece_cover(g, simplicial_vertices(g), basic_5_cycles(g)))
 
 
+def _pendant_mask(g: Graph):
+    """Mask of the vertices on pendant edges, or None when two pendant edges
+    meet and so match nothing perfectly (module docstring)."""
+    mask = 0
+    for e in {row | 1 << v for v, row in enumerate(g.adj) if row.bit_count() == 1}:
+        if mask & e:
+            return None
+        mask |= e
+    return mask
+
+
 # -- certificates ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SqcCertificate:
     """Witness partition V = simplexes | basic 5-cycles | degree-2 pairs of
-    basic 4-cycles; counts (m, s, t) satisfy alpha = m + 2s + t."""
+    basic 4-cycles; counts (m, s, t) satisfy alpha = m + 2s + t.  An SC
+    certificate is one with t = 0."""
 
     simplexes: tuple  # (simplicial vertex, frozenset N[x]) pairs
     five_cycles: tuple  # label tuples
@@ -240,29 +255,6 @@ class SqcCertificate:
 
 
 @dataclass(frozen=True)
-class ScCertificate:
-    simplexes: tuple
-    five_cycles: tuple
-
-    @property
-    def m(self):
-        return len(self.simplexes)
-
-    @property
-    def s(self):
-        return len(self.five_cycles)
-
-    def as_sqc(self) -> SqcCertificate:
-        return SqcCertificate(self.simplexes, self.five_cycles, ())
-
-    def validate(self, g: Graph) -> bool:
-        return self.as_sqc().validate(g)
-
-    def to_text(self) -> str:
-        return self.as_sqc().to_text()
-
-
-@dataclass(frozen=True)
 class PcCertificate:
     """Pendant edges perfectly matching P(G) plus vertex-disjoint basic
     5-cycles partitioning C(G)."""
@@ -271,26 +263,22 @@ class PcCertificate:
     basic5_partition: tuple  # cycles as label tuples
 
     def validate(self, g: Graph) -> bool:
+        # the matching must list every pendant edge once (_pendant_mask)
+        p_mask = _pendant_mask(g)
         pend = set(map(frozenset, g.pendant_edges()))
-        if any(frozenset(e) not in pend for e in self.pendant_matching):
-            return False
-        p_vertices = set()
-        for u, v in self.pendant_matching:
-            if u in p_vertices or v in p_vertices:
-                return False
-            p_vertices |= {u, v}
-        if p_vertices != {v for e in g.pendant_edges() for v in e}:
+        edges = self.pendant_matching
+        if p_mask is None or len(edges) != len(pend) or set(map(frozenset, edges)) != pend:
             return False
         five = basic_5_cycles(g)
         b5 = {frozenset(c) for c in five}
-        c_vertices = set()
+        c_mask = 0
         for cyc in self.basic5_partition:
-            if frozenset(cyc) not in b5 or c_vertices & set(cyc):
+            if frozenset(cyc) not in b5 or c_mask & g.mask_of(cyc):
                 return False
-            c_vertices |= set(cyc)
-        if c_vertices != {v for c in five for v in c}:
+            c_mask |= g.mask_of(cyc)
+        if c_mask != _piece_cover(g, (), five):
             return False
-        return p_vertices.isdisjoint(c_vertices) and p_vertices | c_vertices == set(g.labels)
+        return not p_mask & c_mask and p_mask | c_mask == g.full_mask
 
     def to_text(self) -> str:
         parts = [f"P=({u},{v})" for u, v in self.pendant_matching]
@@ -326,14 +314,14 @@ def _exact_cover(universe_mask: int, pieces: list):
     return None
 
 
-def _simplex_pieces(g: Graph, max_degree=None):
+def _simplex_pieces(g: Graph):
     """Candidate (mask, (vertex, simplex)) pieces, one per distinct simplex;
     the representative is the simplicial vertex of the simplex that comes
     first in g's vertex order."""
     simplicial = simplicial_vertices(g)
     by_mask = {}
     for i, v in enumerate(g.labels):
-        if v not in simplicial or max_degree is not None and g.adj[i].bit_count() > max_degree:
+        if v not in simplicial:
             continue
         mask = g.adj[i] | 1 << i
         if mask not in by_mask:
@@ -349,24 +337,27 @@ def _five_cycle_pieces(g: Graph):
     return sorted(by_mask.items(), key=lambda kv: kv[0])
 
 
-def _four_cycle_pieces(g: Graph, allowed=None):
+def _four_cycle_pieces(g: Graph, allowed: int):
     """One (pair mask, (cycle, pair)) piece per degree-2 pair; ``allowed``
-    is the _piece_cover of g when the caller already has it."""
+    is the _piece_cover of g."""
     by_mask = {}
-    for cyc, pair in basic_4_cycles(g) if allowed is None else _basic_4_cycles(g, allowed):
+    for cyc, pair in _basic_4_cycles(g, allowed):
         mask = g.mask_of(pair)
         by_mask.setdefault(mask, (cyc, pair))
     return sorted(by_mask.items(), key=lambda kv: kv[0])
 
 
-def recognize_sqc(g: Graph):
-    simplex = [(m, ("S", p)) for m, p in _simplex_pieces(g)]
-    five = [(m, ("C", p)) for m, p in _five_cycle_pieces(g)]
-    allowed = 0
-    for m, _ in simplex + five:
-        allowed |= m
-    four = [(m, ("Q", p)) for m, p in _four_cycle_pieces(g, allowed)]
-    cover = _exact_cover(g.full_mask, simplex + five + four)
+def _partition(g: Graph, four_cycles: bool):
+    """The first exact cover of V(g) by the SQC pieces, 4-cycle pieces only
+    if ``four_cycles``, as an SqcCertificate; None when there is none."""
+    pieces = [(m, ("S", p)) for m, p in _simplex_pieces(g)]
+    pieces += [(m, ("C", p)) for m, p in _five_cycle_pieces(g)]
+    if four_cycles:
+        allowed = 0
+        for m, _ in pieces:
+            allowed |= m
+        pieces += [(m, ("Q", p)) for m, p in _four_cycle_pieces(g, allowed)]
+    cover = _exact_cover(g.full_mask, pieces)
     if cover is None:
         return None
     return SqcCertificate(
@@ -376,39 +367,27 @@ def recognize_sqc(g: Graph):
     )
 
 
+def recognize_sqc(g: Graph):
+    return _partition(g, four_cycles=True)
+
+
 def recognize_sc(g: Graph):
-    simplex = [(m, ("S", p)) for m, p in _simplex_pieces(g)]
-    five = [(m, ("C", p)) for m, p in _five_cycle_pieces(g)]
-    cover = _exact_cover(g.full_mask, simplex + five)
-    if cover is None:
-        return None
-    return ScCertificate(
-        simplexes=tuple(p for kind, p in cover if kind == "S"),
-        five_cycles=tuple(p for kind, p in cover if kind == "C"),
-    )
+    """SQC without 4-cycle pieces: an SqcCertificate with t == 0, or None."""
+    return _partition(g, four_cycles=False)
 
 
 def recognize_pc(g: Graph):
-    pend = g.pendant_edges()
-    p_mask = 0
-    for u, v in pend:
-        p_mask |= g.mask_of((u, v))
+    p_mask = _pendant_mask(g)
     five = _five_cycle_pieces(g)
     c_mask = 0
     for m, _ in five:
         c_mask |= m
-    if p_mask & c_mask or p_mask | c_mask != g.full_mask:
+    if p_mask is None or p_mask & c_mask or p_mask | c_mask != g.full_mask:
         return None
-    # the pendant edges must be pairwise disjoint (a perfect matching of P)
-    seen = set()
-    for u, v in pend:
-        if u in seen or v in seen:
-            return None
-        seen |= {u, v}
     cover = _exact_cover(c_mask, five)
     if cover is None:
         return None
-    return PcCertificate(pendant_matching=tuple(pend), basic5_partition=tuple(cover))
+    return PcCertificate(pendant_matching=g.pendant_edges(), basic5_partition=tuple(cover))
 
 
 # -- theorem-shaped conditions -----------------------------------------------------
@@ -416,8 +395,9 @@ def recognize_pc(g: Graph):
 
 def t3_partition_condition(g: Graph) -> bool:
     """Simplicial vertices of degree at most 3 whose closed neighbourhoods
-    partition V(G)."""
-    pieces = _simplex_pieces(g, max_degree=3)
+    partition V(G).  Every simplicial vertex of a simplex S has degree
+    |S| - 1, so these are the simplexes of at most 4 vertices."""
+    pieces = [(m, p) for m, p in _simplex_pieces(g) if m.bit_count() <= 4]
     return _exact_cover(g.full_mask, pieces) is not None
 
 
@@ -483,8 +463,7 @@ def square_cm_criterion(g: Graph, field) -> bool:
     The empty punched graph counts as CM with alpha 0."""
     if g.girth() < 4:
         raise PreconditionError("square_cm_criterion requires a triangle-free graph")
-    char = field.characteristic if isinstance(field, FieldSpec) else int(field)
-    return is_cm_graph(g, char) and edge_punches_cm(g, char)
+    return is_cm_graph(g, field) and edge_punches_cm(g, field)
 
 
 # -- aggregate report ---------------------------------------------------------------
@@ -513,43 +492,32 @@ class ClassificationReport:
     planar: bool
 
     def to_text(self) -> str:
+        """One "key: value" line per field in declaration order, a dict
+        field giving one per characteristic and a certificate its partition."""
         lines = []
-
-        def emit(key, value):
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{key}: {value}")
-
-        emit("n", self.n)
-        emit("m", self.m)
-        emit("girth", "infinity" if self.girth is INFINITY else self.girth)
-        emit("alpha", self.alpha)
-        emit("well_covered", self.well_covered)
-        emit("w2", self.w2)
-        emit("vertex_decomposable", self.vertex_decomposable)
-        for char in sorted(self.cm):
-            emit(f"cm[char{char}]", self.cm[char])
-        for char in sorted(self.gorenstein):
-            emit(f"gorenstein[char{char}]", self.gorenstein[char])
-        for char in sorted(self.doubly_cm):
-            emit(f"doubly_cm[char{char}]", self.doubly_cm[char])
-        for name, cert in (("sqc", self.sqc), ("sc", self.sc), ("pc", self.pc)):
-            emit(name, "yes" if cert is not None else "no")
-            if cert is not None:
-                emit(f"{name}.partition", cert.to_text())
-        emit("simplicial_graph", self.simplicial_graph)
-        emit("t3_condition", self.t3_condition)
-        emit("block_cactus", self.block_cactus)
-        emit("cactus", self.cactus)
-        for char in sorted(self.square_cm):
-            value = self.square_cm[char]
-            emit(f"square_cm[char{char}]", "n/a (triangle present)" if value is None else value)
-        emit("planar", self.planar)
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                lines += [f"{f.name}[char{c}]: {_word(value[c])}" for c in sorted(value)]
+            elif f.name in ("sqc", "sc", "pc"):
+                lines.append(f"{f.name}: {'no' if value is None else 'yes'}")
+                if value is not None:
+                    lines.append(f"{f.name}.partition: {value.to_text()}")
+            else:
+                lines.append(f"{f.name}: {_word(value)}")
         return "\n".join(lines) + "\n"
 
 
+def _word(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:  # square_cm of a graph with a triangle
+        return "n/a (triangle present)"
+    return "infinity" if value is INFINITY else value
+
+
 def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
-    chars = [f.characteristic if isinstance(f, FieldSpec) else int(f) for f in fields]
+    chars = [_char(f) for f in fields]
     triangle_free = g.girth() >= 4
     return ClassificationReport(
         n=g.n,

@@ -5,10 +5,13 @@ import sys
 import pytest
 
 import graphcm
+from graphcm import recognition
 from graphcm.cli import main
+from graphcm.complexes import DEFAULT_FIELDS, is_doubly_cm_graph, is_gorenstein_graph
 from graphcm.graph import cycle_graph, path_graph
 from graphcm.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
-from graphcm.families import gen_G
+from graphcm.families import catalog, gen_G
+from graphcm.independence import is_w2, is_well_covered
 
 
 def run(capsys, *argv):
@@ -62,6 +65,39 @@ def test_check_exit_codes(capsys):
     assert code == 2
 
 
+_LIBRARY = {
+    "well-covered": is_well_covered,
+    "w2": is_w2,
+    "gorenstein": lambda g: all(is_gorenstein_graph(g, f) for f in DEFAULT_FIELDS),
+    "doubly-cm": lambda g: all(is_doubly_cm_graph(g, f) for f in DEFAULT_FIELDS),
+    "t3": recognition.t3_partition_condition,
+    "block-cactus": recognition.is_block_cactus,
+    "cactus": recognition.is_cactus,
+}
+
+
+@pytest.mark.parametrize("predicate", list(_LIBRARY))
+def test_check_matches_library(capsys, predicate):
+    verdicts = set()
+    for g in (cycle_graph(5), path_graph(4), gen_G(3), catalog("paw")):
+        want = _LIBRARY[predicate](g)
+        code, out, _ = run(capsys, "check", predicate, "--g6", to_graph6(g))
+        assert (code, out) == (0 if want else 1, f"{predicate}: {'true' if want else 'false'}\n"), g
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_check_reads_the_first_graph_of_an_input_file(capsys, tmp_path):
+    path = tmp_path / "two.g6"
+    path.write_text(to_graph6(cycle_graph(5)) + "\n" + to_graph6(cycle_graph(4)) + "\n")
+    code, out, _ = run(capsys, "check", "cm", "--input", str(path))
+    assert (code, out) == (0, "cm: true\n")
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    code, _, err = run(capsys, "check", "cm", "--input", str(empty))
+    assert code == 2 and "no graphs" in err
+
+
 def test_check_vd_prints_certificate(capsys):
     code, out, _ = run(capsys, "check", "vd", "--g6", to_graph6(cycle_graph(5)))
     assert code == 0 and "shed=" in out
@@ -78,6 +114,15 @@ def test_gen_g6(capsys):
     assert code == 2  # missing index
     code, _, _ = run(capsys, "gen", "NOPE")
     assert code == 2
+
+
+def test_gen_and_convert_human(capsys):
+    code, out, _ = run(capsys, "gen", "C5", "--format", "human")
+    assert code == 0
+    assert out == "n: 5\nm: 5\ngirth: 5\n" + "".join(f"edge: {u} {v}\n" for u, v in cycle_graph(5).edges())
+    code, out, _ = run(capsys, "convert", "--g6", to_graph6(path_graph(4)), "--format", "human")
+    assert code == 0
+    assert out == "n: 4\nm: 3\ngirth: infinity\nedge: 0 1\nedge: 1 2\nedge: 2 3\n"
 
 
 def test_enumerate_stream(capsys):
@@ -130,6 +175,24 @@ def test_verify_eg1_rejects_an_input_stream(capsys, tmp_path):
         code, _, err = run(capsys, "verify", "EG1", "--input", str(path))
         assert code == 2
         assert "EG1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--nmax", "-2"], ["--nmax", "0", "--workers", "2"], ["--workers", "0"], ["--workers", "-1"]],
+    ids=["nmax-2", "nmax0", "workers0", "workers-1"],
+)
+def test_verify_rejects_an_empty_range_and_a_worker_count_below_one(capsys, monkeypatch, argv):
+    # a run over nothing is not a clean run, and no pool may start
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    code, out, err = run(capsys, "verify", "T3", *argv)
+    assert code == 2 and out == ""
+    assert "error" in err
 
 
 def test_verify_structured_stable(capsys, tmp_path):

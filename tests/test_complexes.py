@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -148,14 +149,29 @@ def test_is_cm_examples():
 
 
 def test_is_cm_generic_complex_path():
-    # same complexes handed over without their graph provenance
-    d5 = independence_complex(cycle_graph(5))
-    bare = SimplicialComplex(d5.universe, d5.facets)
-    assert is_cm(bare, FieldSpec(0))
-    d4 = independence_complex(cycle_graph(4))
-    bare4 = SimplicialComplex(d4.universe, d4.facets)
-    assert not is_cm(bare4, FieldSpec(0))
+    # the same complexes read back from facet lists, with string vertices
+    from graphcm.complexes import from_facet_list, to_facet_list
+
+    assert is_cm(from_facet_list(to_facet_list(independence_complex(cycle_graph(5)))), FieldSpec(0))
+    assert not is_cm(from_facet_list(to_facet_list(independence_complex(cycle_graph(4)))), FieldSpec(0))
     assert is_cm(SimplicialComplex((), ()), FieldSpec(0))  # void
+
+
+def test_complex_functions_work_face_by_face(monkeypatch):
+    # a complex carries no graph, so the complex-level functions stay
+    # independent of the class table they are oracles for
+    def refuse(*args):
+        raise AssertionError("a complex-level function reached the class table")
+
+    monkeypatch.setattr(complexes, "_class_of", refuse)
+    monkeypatch.setattr(complexes, "is_cm_graph", refuse)
+    monkeypatch.setattr(complexes, "graph_betti", refuse)
+    assert [f.name for f in dataclasses.fields(SimplicialComplex)] == ["universe", "facets"]
+    d7 = independence_complex(cycle_graph(7))
+    assert not is_cm(d7, FieldSpec(0)) and not is_doubly_cm(d7, FieldSpec(2))
+    assert betti_profile(d7, FieldSpec(0)).betti == (0, 0, 1, 0)  # a circle (Kozlov)
+    d5 = independence_complex(cycle_graph(5))
+    assert is_cm(link(d5, {0}), FieldSpec(2)) and is_cm(delete(d5, {0}), FieldSpec(0))
 
 
 def test_is_doubly_cm_examples():
@@ -219,7 +235,7 @@ def _gorenstein_oracle(g, char):
     face of the core, using the generic complex machinery only."""
     from graphcm.complexes import _faces_by_card_from_complex, _profile_from_cards
 
-    gamma = core(SimplicialComplex(g.labels, independence_complex(g).facets))
+    gamma = core(independence_complex(g))
     for f in sorted(gamma.faces(), key=lambda s: (len(s), sorted(map(str, s)))):
         lk = link(gamma, f)
         betti = _profile_from_cards(_faces_by_card_from_complex(lk), char)
@@ -238,7 +254,7 @@ def test_gorenstein_matches_complex_level_oracle(small_connected):
 
 def test_cm_matches_generic_complex_path(small_connected):
     for g in small_connected:
-        bare = SimplicialComplex(g.labels, independence_complex(g).facets)
+        bare = independence_complex(g)
         for char in (0, 2):
             assert is_cm_graph(g, char) == is_cm(bare, FieldSpec(char)), g
 
@@ -408,7 +424,7 @@ def test_graph_engines_match_complex_oracles_on_atlas():
     atlas = [Graph.from_edges(h.number_of_nodes(), list(h.edges()))
              for h in nx.graph_atlas_g() if h.number_of_nodes() <= 6]
     for g in atlas:
-        bare = SimplicialComplex(g.labels, independence_complex(g).facets)
+        bare = independence_complex(g)
         # fields interleaved, so each char meets a table warmed by the others
         for char in (2, 0, 3):
             assert is_gorenstein_graph(g, FieldSpec(char)) == _gorenstein_oracle(g, char), (g, char)
@@ -469,14 +485,14 @@ def test_doubly_and_square_cm_match_all_vertex_oracles_on_atlas():
     from graphcm.recognition import square_cm_criterion
 
     def bare_cm(h, char):
-        return is_cm(SimplicialComplex(h.labels, independence_complex(h).facets), FieldSpec(char))
+        return is_cm(independence_complex(h), FieldSpec(char))
 
     complexes.clear_caches()
     for nxg in nx.graph_atlas_g()[1:]:
         if nxg.number_of_nodes() > 6:
             break
         g = Graph.from_edges(nxg.number_of_nodes(), list(nxg.edges()))
-        bare = SimplicialComplex(g.labels, independence_complex(g).facets)
+        bare = independence_complex(g)
         a = independence_number(g)
         for char in (2, 0):
             assert is_doubly_cm_graph(g, char) == is_doubly_cm(bare, FieldSpec(char)), (g, char)

@@ -127,23 +127,24 @@ def test_external_stream(tmp_path):
 
 
 def test_workers_match_serial():
-    serial = verify_theorem("T3", n_max=6)
-    parallel = verify_theorem("T3", n_max=6, workers=2)
-    assert serial.counterexamples == parallel.counterexamples
-    assert serial.graphs_checked == parallel.graphs_checked
+    for tid, n_max in (("T3", 6), ("EG1", 4)):
+        serial = verify_theorem(tid, n_max=n_max)
+        parallel = verify_theorem(tid, n_max=n_max, workers=2)
+        assert serial.counterexamples == parallel.counterexamples
+        assert serial.graphs_checked == parallel.graphs_checked
 
 
 def test_counterexamples_would_replay():
     # reports are clean for the real theorems; the replay contract is that
     # re-running the predicate on each stored graph6 string reproduces the
     # failure, which we exercise over every stored counterexample
-    from graphcm.enumeration import _THEOREMS, _chars
-    from graphcm.complexes import DEFAULT_FIELDS
+    from graphcm.enumeration import _THEOREMS
+    from graphcm.complexes import DEFAULT_FIELDS, _char
 
     for tid in ("T2", "T3", "COR2"):
         rep = verify_theorem(tid, n_max=6)
         pred = _THEOREMS[tid][3]
-        chars = _chars(DEFAULT_FIELDS)
+        chars = tuple(map(_char, DEFAULT_FIELDS))
         assert all(not pred(from_graph6(g6), chars) for g6 in rep.counterexamples)
         assert rep.ok()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -27,10 +28,12 @@ from graphcm.recognition import (
     is_block_cactus,
     is_cactus,
     is_simplicial_graph,
+    PcCertificate,
     recognize_pc,
     recognize_sc,
     recognize_sqc,
     simplicial_vertices,
+    SqcCertificate,
     square_cm_criterion,
     t3_partition_condition,
     t3_simplicial_condition,
@@ -81,6 +84,11 @@ Q_GRAPH = Graph.from_edges(
 )
 
 
+# string labels listed out of order: a basic 5-cycle e-d-c-b-a, a basic
+# 4-cycle x-y-a-s whose a lies on it and s in the simplex {s, t}
+NAMED = Graph.from_edges(list("edcbayxst"), [tuple(e) for e in "ab bc cd de ea xy ya as sx st".split()])
+
+
 def test_basic_4_cycles_examples():
     assert basic_4_cycles(cycle_graph(4)) == []
     found = basic_4_cycles(Q_GRAPH)
@@ -121,7 +129,7 @@ def test_recognize_sc_examples():
     assert recognize_sc(gen_G(3)) is None
     assert recognize_sc(Q_GRAPH) is None  # needs the 4-cycle pair
     cert = recognize_sc(complete_graph(2))
-    assert cert is not None and cert.m == 1
+    assert isinstance(cert, SqcCertificate) and (cert.m, cert.s, cert.t) == (1, 0, 0)
     assert cert.validate(complete_graph(2))
 
 
@@ -133,6 +141,49 @@ def test_recognize_pc_examples():
     assert c5 is not None and len(c5.basic5_partition) == 1
     assert c5.validate(cycle_graph(5))
     assert recognize_pc(cycle_graph(7)) is None
+
+
+def test_sqc_validate_rejects_tampered_certificates():
+    cert = recognize_sqc(NAMED)
+    assert cert.validate(NAMED) and (cert.m, cert.s, cert.t) == (1, 1, 1)
+    simplex = cert.simplexes[0]
+    assert simplex == ("t", frozenset("st"))
+    tampered = [
+        (NAMED, dataclasses.replace(cert, simplexes=(simplex, simplex))),  # overlapping pieces
+        (NAMED, dataclasses.replace(cert, four_cycles=())),  # x and y left out
+        (NAMED, dataclasses.replace(cert, simplexes=(("s", frozenset("st")),))),  # s is not simplicial
+        # 0 is simplicial, but its simplex is {0, 1}
+        (path_graph(4), SqcCertificate(((0, frozenset({0})), (3, frozenset({1, 2, 3}))), (), ())),
+        (path_graph(5), SqcCertificate((), ((0, 1, 2, 3, 4),), ())),  # not a cycle
+        # C4 has no basic 4-cycle: its other two vertices lie in no piece
+        (cycle_graph(4), SqcCertificate((), (), (((0, 1, 2, 3), (0, 1)), ((0, 1, 2, 3), (2, 3))))),
+    ]
+    for g, bad in tampered:
+        assert not bad.validate(g), bad
+
+
+def test_pc_validate_rejects_tampered_certificates():
+    # C5 with a pendant path on 0 and one on 2: 0 and 2 are not adjacent,
+    # so the 5-cycle stays basic
+    g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (2, 7), (7, 8)])
+    cert = recognize_pc(g)
+    assert cert.validate(g)
+    assert cert.pendant_matching == ((5, 6), (7, 8)) and cert.basic5_partition == ((0, 1, 2, 3, 4),)
+    c5 = cert.basic5_partition[0]
+    tampered = [
+        dataclasses.replace(cert, pendant_matching=((5, 6), (2, 7))),  # 2-7 is not pendant
+        dataclasses.replace(cert, pendant_matching=((5, 6), (7, 8), (8, 7))),  # repeated edge
+        dataclasses.replace(cert, pendant_matching=((5, 6),)),  # 7-8 missing
+        dataclasses.replace(cert, basic5_partition=((0, 1, 2, 3, 5),)),  # not a basic 5-cycle
+        dataclasses.replace(cert, basic5_partition=(c5, c5[::-1])),  # overlapping cycles
+        dataclasses.replace(cert, basic5_partition=()),  # the cycle left uncovered
+    ]
+    for bad in tampered:
+        assert not bad.validate(g), bad
+    # pendant edges that meet match nothing perfectly
+    star = complete_bipartite(1, 3)
+    assert recognize_pc(star) is None
+    assert not PcCertificate(star.pendant_edges(), ()).validate(star)
 
 
 def test_pc_subset_of_sqc(small_connected):
@@ -149,7 +200,10 @@ def _brute_sqc_exists(g):
 
     pieces = [m for m, _ in _simplex_pieces(g)]
     pieces += [m for m, _ in _five_cycle_pieces(g)]
-    pieces += [m for m, _ in _four_cycle_pieces(g)]
+    cover = 0
+    for m in pieces:
+        cover |= m
+    pieces += [m for m, _ in _four_cycle_pieces(g, cover)]
     full = g.full_mask
     for r in range(len(pieces) + 1):
         for combo in itertools.combinations(pieces, r):
@@ -281,9 +335,8 @@ def test_basic_cycles_edge_cases():
     assert [pair for _cyc, pair in all_four] == [(0, 1), (1, 2), (2, 3), (3, 0)]
     k2 = complete_graph(2)
     _assert_basic_cycles_match(k2)
-    # string labels: cycles come in index order, not label order.  The
-    # 4-cycle x-y-a-s has a on the basic 5-cycle and s in the simplex {s, t}
-    named = Graph.from_edges(list("edcbayxst"), [tuple(e) for e in "ab bc cd de ea xy ya as sx st".split()])
+    # string labels: cycles come in index order, not label order
+    named = NAMED
     assert basic_5_cycles(named) == [("e", "d", "c", "b", "a")]
     assert basic_4_cycles(named) == [(("a", "y", "x", "s"), ("y", "x"))]
     _assert_basic_cycles_match(named)
