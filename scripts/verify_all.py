@@ -9,7 +9,8 @@ import argparse
 import sys
 
 from graphcm.complexes import DEFAULT_FIELDS, parse_fields
-from graphcm.enumeration import default_n_max, theorem_ids, verify_theorem
+from graphcm.enumeration import theorem_ids, verify_theorem
+from graphcm.graph import GraphInputError
 
 
 def main():
@@ -20,17 +21,19 @@ def main():
     ap.add_argument("--theorems", nargs="*", help="subset of suites to run")
     args = ap.parse_args()
 
-    fields = parse_fields(args.fields) if args.fields else DEFAULT_FIELDS
-    ids = args.theorems or theorem_ids()
     failures = 0
-    for tid in ids:
-        n_max = args.nmax or default_n_max(tid)
-        rep = verify_theorem(tid, n_max=n_max, fields=fields, workers=args.workers)
-        status = "ok" if rep.ok() else f"{len(rep.counterexamples)} COUNTEREXAMPLES"
-        print(f"{tid:8s} n<={rep.n_max}: {rep.graphs_checked:6d} graphs, {status}, {rep.elapsed_s:.1f}s")
-        for g6 in rep.counterexamples:
-            print(f"         counterexample: {g6}")
-        failures += not rep.ok()
+    try:
+        fields = parse_fields(args.fields) if args.fields else DEFAULT_FIELDS
+        for tid in args.theorems or theorem_ids():
+            rep = verify_theorem(tid, n_max=args.nmax, fields=fields, workers=args.workers)
+            status = "ok" if rep.ok() else f"{len(rep.counterexamples)} COUNTEREXAMPLES"
+            print(f"{tid:8s} n<={rep.n_max}: {rep.graphs_checked:6d} graphs, {status}, {rep.elapsed_s:.1f}s")
+            for g6 in rep.counterexamples:
+                print(f"         counterexample: {g6}")
+            failures += not rep.ok()
+    except GraphInputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return 1 if failures else 0
 
 

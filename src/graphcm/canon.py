@@ -49,6 +49,11 @@ enough to prune by orbits (as generation and the link recursions do): the
 orbit of a set under a subgroup lies inside its orbit under Aut(g), so
 skipping the other members of a subgroup orbit only ever skips isomorphic
 copies.  Nothing here relies on the whole group.
+
+A graph is searched at most once.  The first of ``canonical_form``,
+``canonical_order`` and ``automorphisms`` asked of it runs the search, and
+the graph keeps the whole result: the form, and the order followed by the
+stored automorphisms packed one byte per vertex (n is at most 64).
 """
 
 from __future__ import annotations
@@ -125,49 +130,42 @@ def _twin_automorphisms(adj, cells):
     return out
 
 
-def automorphisms(g: Graph) -> list:
-    """The automorphisms a canonical search of g stores, each as a list
-    ``perm`` of internal indices (``perm[i]`` is the image of ``i``); they
-    generate a subgroup of Aut(g), possibly all of it.  They are taken from
-    the search ``canonical_order`` kept on g, if any; otherwise the call
-    searches afresh, so graphs that live long do not hold permutations
-    nobody asks for again."""
-    return (g.__dict__.get("_canon_search") or _search(g))[2]
-
-
-def form_and_automorphisms(g: Graph) -> tuple:
-    """``(form, autos)``: the canonical form of g and the automorphisms
-    stored by the search that found it.  When g already keeps its form no
-    search runs and ``autos`` is None; ``automorphisms(g)`` searches for
-    them if they are wanted later."""
+def _kept(g: Graph) -> tuple:
+    """``(form, perms)`` from the one canonical search of g.  ``perms``
+    packs the canonical order and then each stored automorphism, one byte
+    per vertex.  The first call searches and keeps both on g; later calls
+    only read them."""
     form = g.__dict__.get("_canon_form")
     if form is not None:
-        return form, None
-    rows, _order, autos = g.__dict__.get("_canon_search") or _search(g)
+        return form, g.__dict__["_canon_perms"]
+    rows, order, autos = _search(g)
     n = g.n
     acc = 0
     for k in range(1, n):
         acc = (acc << k) | rows[k]
+    perms = g.__dict__["_canon_perms"] = bytes(order) + b"".join(map(bytes, autos))
     form = g.__dict__["_canon_form"] = bytes([n]) + acc.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
-    return form, autos
+    return form, perms
+
+
+def canonical_form(g: Graph) -> bytes:
+    """The canonical byte string of g."""
+    return _kept(g)[0]
 
 
 def canonical_order(g: Graph) -> tuple:
     """A canonical vertex ordering (position -> internal index); graphs with
-    equal canonical forms place corresponding vertices at equal positions.
-    The search is kept on g, so the canonical form and the automorphisms
-    asked for afterwards cost no second search."""
-    cached = g.__dict__.get("_canon_search")
-    if cached is None:
-        cached = g.__dict__["_canon_search"] = _search(g)
-    return tuple(cached[1])
+    equal canonical forms place corresponding vertices at equal positions."""
+    return tuple(_kept(g)[1][:g.n])
 
 
-def canonical_form(g: Graph) -> bytes:
-    """The canonical byte string of g.  It is kept on g, and nothing else:
-    the many graphs that only ever need a key, such as the generated
-    levels, do not hold the rows and the order of their search."""
-    return form_and_automorphisms(g)[0]
+def automorphisms(g: Graph) -> list:
+    """The automorphisms the canonical search of g stored, each as a list
+    ``perm`` of internal indices (``perm[i]`` is the image of ``i``); they
+    generate a subgroup of Aut(g), possibly all of it."""
+    perms = _kept(g)[1]
+    n = g.n
+    return [list(perms[i:i + n]) for i in range(n, len(perms), n or 1)]  # n == 0: none
 
 
 def _search(g: Graph):
@@ -261,7 +259,7 @@ def isomorphism_map(g: Graph, h: Graph):
     """A label bijection realising an isomorphism, or None."""
     if _invariant(g) != _invariant(h):
         return None
-    og, oh = canonical_order(g), canonical_order(h)  # before the forms: one search each
     if g.canonical_form() != h.canonical_form():
         return None
+    og, oh = canonical_order(g), canonical_order(h)
     return {g.labels[og[p]]: h.labels[oh[p]] for p in range(g.n)}

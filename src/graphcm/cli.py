@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one theorem verification suite")
     p.add_argument("theorem", choices=enumeration.theorem_ids())
-    p.add_argument("--nmax", type=int)
+    p.add_argument("--nmax", type=int, help="largest order to check; with --input, larger graphs are skipped (default: none)")
     p.add_argument("--fields")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--input", help="verify against an external graph6 stream")

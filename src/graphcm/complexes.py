@@ -41,17 +41,16 @@ on a class already met computes no canonical form again.  Both engines
 test purity before any homology: Gorenstein* implies Cohen-Macaulay,
 which implies pure, and purity needs only the maximal independent sets.
 
-Children are punched at one vertex per orbit.  The canonical search that
-keys a new record also stores automorphisms of its graph (``canon``), and
-the record keeps each vertex's orbit under the group they generate.  An
-automorphism s of G carries G minus N[v] onto G minus N[s(v)], so vertices
-of one orbit have isomorphic punches, and the same holds for G minus v.
-The stored automorphisms may generate only a subgroup of Aut(G); its
-orbits are then finer, which costs punches but never misses a class.  Twin
-transpositions are among them, so twins need no rule of their own.  A graph
-that arrives with its canonical form already kept (a generated level graph,
-say) is not searched again up front: its orbits are found when its
-children are first needed.
+Children are punched at one vertex per orbit.  The one canonical search
+of a graph (``canon``) gives its form and stores automorphisms of it, and
+the graph keeps both.  A record keys on the form of its graph, and when its
+children are first needed it keeps each vertex's orbit under the group the
+automorphisms generate.  An automorphism s of G carries G minus N[v] onto
+G minus N[s(v)], so vertices of one orbit have isomorphic punches, and the
+same holds for G minus v.  The stored automorphisms may generate only a
+subgroup of Aut(G); its orbits are then finer, which costs punches but
+never misses a class.  Twin transpositions are among them, so twins need
+no rule of their own.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .canon import automorphisms, form_and_automorphisms
+from .canon import automorphisms, canonical_form
 from .graph import Graph, GraphInputError, bits
 from .independence import _mis_masks, independence_number, is_well_covered
 
@@ -510,16 +509,11 @@ def _orbits(n: int, autos) -> bytes:
 
 
 def _class_of(g: Graph) -> _Class:
-    """The record of g's class.  A graph without a canonical form is
-    searched once here, and a new record keeps the orbits of that search.
-    A graph that comes with its form (a level graph, say) is not searched
-    again up front: its record finds its orbits when it first needs them."""
-    key, autos = form_and_automorphisms(g)
+    """The record of g's class, keyed by its canonical form."""
+    key = canonical_form(g)
     rec = _PROFILE_CACHE.get(key)
     if rec is None:
         rec = _PROFILE_CACHE[key] = _Class(g)
-        if autos is not None:
-            rec.orbit = _orbits(g.n, autos)
     return rec
 
 

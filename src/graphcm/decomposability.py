@@ -89,7 +89,6 @@ def _vd(g: Graph) -> bool:
         # every component is searched, even after a failure: which copy of
         # a class is searched first fixes its shedding position
         return all([_vd(g.keep_mask(mask)) for mask in comps])
-    order = canonical_order(g)  # before the class: one search gives both
     rec = _class_of(g)
     if rec.shed is None:
         rec.shed = -1
@@ -100,7 +99,7 @@ def _vd(g: Graph) -> bool:
                 and _vd(g.keep_mask(full & ~(1 << i)))
                 and _vd(g.keep_mask(full & ~(g.adj[i] | 1 << i)))
             ):
-                rec.shed = order.index(i)
+                rec.shed = canonical_order(g).index(i)
                 break
     return rec.shed >= 0
 
@@ -115,12 +114,11 @@ def _walk(g: Graph, position, steps=None) -> bool:
     comps = g.component_masks()
     if len(comps) > 1:
         return all(_walk(g.keep_mask(mask), position, steps) for mask in comps)
-    order = canonical_order(g)  # before the form: one search gives both
     key = g.canonical_form()
     pos = position(key)
     if pos is None or not 0 <= pos < g.n:
         return False
-    i = order[pos]
+    i = canonical_order(g)[pos]
     if not _is_shedding(g, i):
         return False
     if steps is not None and key not in steps:

@@ -37,8 +37,9 @@ drop them first.
 * Orbit pruning.  The filters are isomorphism-invariant, so Aut(p)
   permutes the admissible masks of a parent p, and sigma(S) gives a child
   isomorphic to the one from S.  Only the first admissible mask of each
-  orbit under the automorphisms canon stores for p is tried; these may
-  generate only a subgroup, whose orbits lie inside those of Aut(p).
+  orbit under the automorphisms canon stored for p is tried (p keeps the
+  search that deduplicated it); these may generate only a subgroup, whose
+  orbits lie inside those of Aut(p).
 * Canonical deletion.  A child is dropped when a non-cut vertex u != v
   outranks the new vertex v by (degree, sum of neighbour degrees), an
   isomorphism invariant of the child.  No class is lost: a connected H in
@@ -300,6 +301,7 @@ def enumerate_connected(n: int, filt: EnumFilter = EnumFilter()):
 
 
 def enumerate_connected_upto(n_max: int, filt: EnumFilter = EnumFilter()):
+    _check_cap(n_max)
     for n in range(1, n_max + 1):
         yield from enumerate_connected(n, filt)
 
@@ -466,10 +468,6 @@ def theorem_ids() -> tuple:
     return tuple(_THEOREMS)
 
 
-def default_n_max(theorem_id: str) -> int:
-    return _THEOREMS[theorem_id][2]
-
-
 def _check_one(args):
     theorem_id, g6, chars = args
     g = from_graph6(g6)
@@ -485,13 +483,16 @@ def verify_theorem(
     input_path=None,
 ) -> VerificationReport:
     """Run one theorem's biconditional over the filtered enumeration (or
-    over the family for EG1) and collect counterexamples."""
+    over the family for EG1) and collect counterexamples.  An input stream
+    is checked whole unless ``n_max`` is given (otherwise the report's
+    ``n_max`` is the largest order checked); notes count the graphs skipped
+    for lying outside the theorem's class or above ``n_max``."""
     if theorem_id not in _THEOREMS:
         raise GraphInputError(f"unknown theorem id {theorem_id!r}; know {sorted(_THEOREMS)}")
     desc, filt, default_cap, pred = _THEOREMS[theorem_id]
-    if n_max is None:
+    if n_max is None and input_path is None:
         n_max = default_cap
-    if n_max < 1:
+    if n_max is not None and n_max < 1:
         raise GraphInputError(f"n_max must be at least 1, got {n_max}")
     if workers < 1:
         raise GraphInputError(f"workers must be at least 1, got {workers}")
@@ -505,8 +506,18 @@ def verify_theorem(
         stream = [gen_G(k) for k in range(1, n_max + 1)]
         notes.insert(0, "n indexes the family here")
     elif input_path is not None:
-        stream = [g for g in read_graph6_file(input_path) if g.n <= n_max and filt.passes(g)]
+        graphs = list(read_graph6_file(input_path))
+        stream = [g for g in graphs if filt.passes(g)]
         notes.append(f"external stream: {input_path}")
+        if len(stream) < len(graphs):
+            notes.append(f"skipped input graphs outside the theorem's class: {len(graphs) - len(stream)}")
+        if n_max is None:
+            n_max = max((g.n for g in stream), default=0)
+        else:
+            kept = [g for g in stream if g.n <= n_max]
+            if len(kept) < len(stream):
+                notes.append(f"skipped input graphs with more than {n_max} vertices: {len(stream) - len(kept)}")
+            stream = kept
     else:
         stream = list(enumerate_connected_upto(n_max, filt))
 

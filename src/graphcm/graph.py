@@ -382,12 +382,9 @@ class Graph:
 
     def canonical_form(self) -> bytes:
         """Relabeling-invariant byte string; equal iff graphs isomorphic."""
-        cached = self.__dict__.get("_canon_form")  # kept there by canon
-        if cached is None:
-            from . import canon
+        from . import canon
 
-            cached = canon.canonical_form(self)
-        return cached
+        return canon.canonical_form(self)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, labels={list(self.labels)!r})"

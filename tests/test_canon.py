@@ -239,6 +239,7 @@ def test_stored_automorphisms_generate_the_group_on_atlas():
 
 def test_automorphisms_of_named_graphs():
     named = {
+        "K0": (Graph.empty(0), 1),
         "C6": (cycle_graph(6), 12),
         "K1,3": (complete_bipartite(1, 3), 6),
         "P4": (path_graph(4), 2),
@@ -250,3 +251,36 @@ def test_automorphisms_of_named_graphs():
         gens = automorphisms(g)
         assert all(_is_automorphism(g, perm) for perm in gens), name
         assert _group_order(g.n, gens) == order, name
+
+
+# -- one search per graph ---------------------------------------------------------
+
+
+def test_each_graph_is_searched_at_most_once(monkeypatch):
+    # forms, orders and automorphisms all come from one kept search, in
+    # whatever order generation, the class table and the VD walk ask for them
+    from graphcm import canon, complexes, enumeration
+    from graphcm.decomposability import is_vertex_decomposable, replay_certificate
+
+    searched = {}
+    keep = []  # alive, so no id is reused
+    search = canon._search
+
+    def counted(g):
+        searched[id(g)] = searched.get(id(g), 0) + 1
+        keep.append(g)
+        return search(g)
+
+    monkeypatch.setattr(canon, "_search", counted)
+    enumeration.clear_cache()
+    complexes.clear_caches()
+    level = list(enumeration.enumerate_connected_upto(7))
+    assert len(level) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+    for g in level:
+        for char in (0, 2):
+            complexes.is_cm_graph(g, char)
+        ok, cert = is_vertex_decomposable(g, want_certificate=True)
+        assert not ok or replay_certificate(g, cert)
+    assert len(searched) > len(level)
+    assert max(searched.values()) == 1
+    enumeration.clear_cache()

@@ -8,7 +8,7 @@ import graphcm
 from graphcm import recognition
 from graphcm.cli import main
 from graphcm.complexes import DEFAULT_FIELDS, is_doubly_cm_graph, is_gorenstein_graph
-from graphcm.graph import cycle_graph, path_graph
+from graphcm.graph import Graph, cycle_graph, path_graph
 from graphcm.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from graphcm.families import catalog, gen_G
 from graphcm.independence import is_w2, is_well_covered
@@ -175,6 +175,36 @@ def test_verify_eg1_rejects_an_input_stream(capsys, tmp_path):
         code, _, err = run(capsys, "verify", "EG1", "--input", str(path))
         assert code == 2
         assert "EG1" in err
+
+
+def test_verify_input_checks_every_graph_unless_bounded(capsys, tmp_path):
+    # graphs past the theorem's enumeration size are checked, or counted
+    # as skipped when --nmax bounds the stream; so are graphs outside T1's
+    # class (connected graphs)
+    path = tmp_path / "big.g6"
+    big = [cycle_graph(10), path_graph(11), gen_G(4), cycle_graph(12)]
+    path.write_text("".join(to_graph6(g) + "\n" for g in big))
+    code, out, _ = run(capsys, "verify", "T1", "--input", str(path))
+    assert code == 0
+    assert "n_max: 12" in out and "graphs_checked: 4" in out and "skipped" not in out
+    with path.open("a") as fh:
+        fh.write(to_graph6(Graph.empty(11)) + "\n")
+    code, out, _ = run(capsys, "verify", "T1", "--input", str(path), "--nmax", "10")
+    assert code == 0
+    assert "graphs_checked: 1" in out
+    assert "note: skipped input graphs outside the theorem's class: 1" in out
+    assert "note: skipped input graphs with more than 10 vertices: 3" in out
+
+
+def test_verify_all_rejects_an_empty_range():
+    root = os.path.dirname(os.path.dirname(os.path.dirname(graphcm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = [sys.executable, os.path.join(root, "scripts", "verify_all.py"), "--theorems", "T3", "--nmax"]
+    done = subprocess.run(argv + ["0"], env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "n_max must be at least 1" in done.stderr
+    done = subprocess.run(argv + ["5"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.startswith("T3       n<=5:     14 graphs, ok")
 
 
 @pytest.mark.parametrize(

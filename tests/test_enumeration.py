@@ -283,6 +283,17 @@ def test_connected_counts_respects_the_cap():
     assert time.monotonic() - start < 1
 
 
+def test_verify_checks_the_cap_before_generating(monkeypatch):
+    from graphcm import enumeration
+
+    def refuse(*args):
+        raise AssertionError("a level was generated")
+
+    monkeypatch.setattr(enumeration, "_level", refuse)
+    with pytest.raises(UnsupportedSizeError):
+        verify_theorem("T1", n_max=enumeration.HARD_CAP + 1)
+
+
 def test_trivial_girth_bound_shares_the_unfiltered_level():
     # every simple graph has girth >= 3, so the bound must not split the cache
     from graphcm.enumeration import _level
