@@ -9,6 +9,7 @@ import sys
 
 from graphcm.complexes import DEFAULT_FIELDS, FieldSpec, is_cm_graph, is_gorenstein_graph, parse_fields
 from graphcm.enumeration import EnumFilter, enumerate_connected_upto
+from graphcm.graph import GraphInputError
 from graphcm.graphio import to_graph6
 from graphcm.independence import is_w2, is_well_covered
 
@@ -18,10 +19,17 @@ def main():
     ap.add_argument("--nmax", type=int, default=8)
     ap.add_argument("--fields", help="comma separated characteristics (default 0,2)")
     args = ap.parse_args()
-    fields = parse_fields(args.fields) if args.fields else DEFAULT_FIELDS
+    try:
+        if args.nmax < 1:
+            raise GraphInputError(f"n_max must be at least 1, got {args.nmax}")
+        fields = parse_fields(args.fields) if args.fields else DEFAULT_FIELDS
+        graphs = list(enumerate_connected_upto(args.nmax, EnumFilter(min_girth=5)))
+    except GraphInputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     total = wc = cm = gor = w2 = 0
-    for g in enumerate_connected_upto(args.nmax, EnumFilter(min_girth=5)):
+    for g in graphs:
         total += 1
         g_wc = is_well_covered(g)
         g_cm = all(is_cm_graph(g, f.characteristic) for f in fields)

@@ -48,7 +48,12 @@ drop them first.
   to it, the isomorphism taking N(u*) to an admissible mask S' (and a
   planar one, as H is).  The tried mask S of the orbit of S' gives
   p + S isomorphic to H with v in the role of u*, so v has top rank and
-  that child is kept.
+  that child is kept.  The test needs no child: with deg and nsum (sum
+  of neighbour degrees) taken in p, the child has deg'(u) = deg(u) +
+  [u in S] and nsum'(u) = nsum(u) + |N(u) & S| + [u in S]|S|, and v has
+  (|S|, |S| + the sum of deg over S); u is a non-cut vertex of p + S iff
+  S meets every component of p - u (vacuously so if p - u is empty).
+  Aut(p) fixing v preserves the test, so orbits are taken of survivors.
 
 Survivors are deduplicated by canonical form, so each level lists each
 class exactly once; which representatives it keeps, and their order, are
@@ -233,14 +238,13 @@ def _level(n: int, filt: EnumFilter):
         for g in _level(n - 1, filt):
             images = [[1 << i for i in perm] for perm in automorphisms(g)]
             done = set()
+            leads = _lead_rule(g.adj)
             for nbr_mask in filt.admissible_masks(g):
-                if nbr_mask in done:
+                if nbr_mask in done or not leads(nbr_mask):
                     continue
                 if images:
                     done |= _orbit(nbr_mask, images)
                 h = g._extend(nbr_mask)
-                if not _new_vertex_leads(h.adj):
-                    continue
                 if filt.planar_only and not is_planar(h):
                     continue
                 c = h.canonical_form()
@@ -269,23 +273,41 @@ def _orbit(mask: int, images) -> set:
     return orbit
 
 
-def _new_vertex_leads(adj) -> bool:
-    """Whether no non-cut vertex of the graph with rows adj has a larger
-    (degree, sum of neighbour degrees) than its last vertex, the new one.
-    The cut test runs only on the vertices that beat it."""
+def _lead_rule(adj):
+    """The canonical-deletion test on the parent with rows adj (module
+    docstring): ``leads(S)`` says whether no non-cut vertex of the child
+    p + S outranks its new vertex by (degree, sum of neighbour degrees)."""
+    n = len(adj)
     deg = [row.bit_count() for row in adj]
-    v = len(adj) - 1
+    dsum = [0]  # dsum[S]: the sum of deg over S
+    for d in deg:
+        dsum += [x + d for x in dsum]
+    rows = []  # by falling degree, so a scan can stop below |S| - 1
+    for u in sorted(range(n), key=deg.__getitem__, reverse=True):
+        rest, comps = ((1 << n) - 1) ^ 1 << u, []
+        while rest:
+            comps.append(_ball(adj, (rest & -rest).bit_length() - 1, n, rest))
+            rest ^= comps[-1]
+        rows.append((u, deg[u], dsum[adj[u]], adj[u], comps))
 
-    def key(u):
-        return deg[u], sum(deg[w] for w in bits(adj[u]))
+    def leads(mask):
+        s = mask.bit_count()
+        t = s + dsum[mask]
+        for u, d, nsum, nbrs, comps in rows:
+            if d + 1 < s:
+                break
+            if mask >> u & 1:
+                d += 1
+                nsum += s
+            if d > s or d == s and nsum + (nbrs & mask).bit_count() > t:
+                for c in comps:
+                    if not c & mask:
+                        break
+                else:
+                    return False
+        return True
 
-    mine = key(v)
-    for u in range(v):
-        if deg[u] >= mine[0] and key(u) > mine:
-            others = ((1 << len(adj)) - 1) ^ (1 << u)
-            if _ball(adj, v, v, others) == others:
-                return False
-    return True
+    return leads
 
 
 def enumerate_connected(n: int, filt: EnumFilter = EnumFilter()):
@@ -359,7 +381,8 @@ def _is_family_member(g: Graph) -> bool:
     if (g.n + 1) % 3 != 0:
         return False
     k = (g.n + 1) // 3
-    return k >= 3 and is_isomorphic(g, gen_G(k))
+    # G_k has 1 + 4(k-1) + (k-2) edges
+    return k >= 3 and g.m == 5 * k - 5 and is_isomorphic(g, gen_G(k))
 
 
 def _pred_t1(g, chars):

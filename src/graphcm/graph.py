@@ -276,35 +276,29 @@ class Graph:
     def girth(self) -> GirthValue:
         """Length of a shortest cycle, or INFINITY for forests.
 
-        BFS from every vertex; each non-tree edge seen from root r bounds a
-        cycle through r from above, and the bound is tight when r lies on a
-        shortest cycle, so the minimum over all roots is exact.
+        BFS from every root r in bitmask layers: an edge inside layer d
+        closes a cycle of length at most 2d+1, and a vertex of layer d+1
+        with two neighbours in layer d one of length at most 2d+2.  Both
+        bounds are tight when r lies on a shortest cycle, so the minimum
+        over all roots is exact.
         """
-        n = self.n
-        if n < 3:
-            return INFINITY
-        best = None
-        for root in range(n):
-            dist = [-1] * n
-            parent = [-1] * n
-            dist[root] = 0
-            frontier = [root]
-            while frontier:
-                if best is not None and 2 * dist[frontier[0]] + 1 >= best:
-                    break
-                nxt = []
-                for u in frontier:
-                    for v in bits(self.adj[u]):
-                        if dist[v] == -1:
-                            dist[v] = dist[u] + 1
-                            parent[v] = u
-                            nxt.append(v)
-                        elif v != parent[u]:
-                            cand = dist[u] + dist[v] + 1
-                            if best is None or cand < best:
-                                best = cand
-                frontier = nxt
-        return INFINITY if best is None else best
+        adj, best = self.adj, INFINITY
+        for root in range(self.n):
+            seen = layer = 1 << root
+            d = 0
+            while layer and 2 * d + 1 < best:
+                reach = twice = 0
+                for u in bits(layer):
+                    twice |= reach & adj[u]
+                    reach |= adj[u]
+                if reach & layer:
+                    best = 2 * d + 1
+                elif twice & ~seen:
+                    best = 2 * d + 2
+                layer = reach & ~seen
+                seen |= layer
+                d += 1
+        return best
 
     def pendant_edges(self) -> tuple:
         """All edges incident with a vertex of degree 1."""

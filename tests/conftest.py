@@ -245,6 +245,27 @@ def brute_refine(adj, cells):
         cells = out
 
 
+def brute_new_vertex_leads(adj) -> bool:
+    """Whether no non-cut vertex of the graph with rows adj has a larger
+    (degree, sum of neighbour degrees) than its last vertex, the new one.
+    The cut test runs only on the vertices that beat it."""
+    from graphcm.enumeration import _ball
+
+    deg = [row.bit_count() for row in adj]
+    v = len(adj) - 1
+
+    def key(u):
+        return deg[u], sum(deg[w] for w in bits(adj[u]))
+
+    mine = key(v)
+    for u in range(v):
+        if deg[u] >= mine[0] and key(u) > mine:
+            others = ((1 << len(adj)) - 1) ^ (1 << u)
+            if _ball(adj, v, v, others) == others:
+                return False
+    return True
+
+
 _BRUTE_LEVELS = {}
 
 

@@ -207,6 +207,18 @@ def test_verify_all_rejects_an_empty_range():
     assert done.returncode == 0 and done.stdout.startswith("T3       n<=5:     14 graphs, ok")
 
 
+def test_girth5_census_rejects_an_empty_range_and_a_size_past_the_cap():
+    root = os.path.dirname(os.path.dirname(os.path.dirname(graphcm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = [sys.executable, os.path.join(root, "scripts", "girth5_census.py"), "--fields", "2", "--nmax"]
+    for nmax, message in (("0", "n_max must be at least 1"), ("-3", "n_max must be at least 1"), ("11", "capped at")):
+        done = subprocess.run(argv + [nmax], env=env, capture_output=True, text=True)
+        assert done.returncode == 2 and done.stdout == "", nmax
+        assert done.stderr.startswith("error: ") and message in done.stderr, nmax
+    done = subprocess.run(argv + ["5"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and "girth>=5 connected graphs with n<=5: 9\n" in done.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--nmax", "-2"], ["--nmax", "0", "--workers", "2"], ["--workers", "0"], ["--workers", "-1"]],

@@ -3,12 +3,13 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_cycles
+from conftest import brute_cycles, brute_new_vertex_leads
 
 from graphcm.canon import canonical_form, is_isomorphic
+from graphcm.families import gen_G
 from graphcm.graph import Graph, UnsupportedSizeError, cycle_graph, path_graph, complete_graph
 from graphcm.graphio import from_graph6, to_graph6
 from graphcm.enumeration import (
@@ -248,6 +249,20 @@ def test_admissible_masks_are_the_passing_extensions(case):
     assert list(filt.admissible_masks(g)) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(_filter_and_parent())
+@example((EnumFilter(), Graph.empty(1)))
+@example((EnumFilter(), path_graph(9)))
+def test_lead_rule_matches_the_child_side_test(case):
+    # the parent-side decision against the test run on each built child
+    from graphcm.enumeration import _lead_rule
+
+    _, g = case
+    leads = _lead_rule(g.adj)
+    for s in range(1, 1 << g.n):
+        assert leads(s) == brute_new_vertex_leads(g._extend(s).adj), (to_graph6(g), s)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_filter_and_parent(max_n=8))
 def test_level_holds_every_graph_its_filter_passes(case):
@@ -292,6 +307,16 @@ def test_verify_checks_the_cap_before_generating(monkeypatch):
     monkeypatch.setattr(enumeration, "_level", refuse)
     with pytest.raises(UnsupportedSizeError):
         verify_theorem("T1", n_max=enumeration.HARD_CAP + 1)
+
+
+def test_family_members_have_5k_minus_5_edges_under_any_labelling():
+    from graphcm.enumeration import _is_family_member
+
+    assert [gen_G(k).m for k in range(2, 22)] == [5 * k - 5 for k in range(2, 22)]
+    g = gen_G(5)
+    relabelled = Graph.from_edges(g.labels[3:] + g.labels[:3], g.edges())
+    assert relabelled.adj != g.adj and _is_family_member(relabelled)
+    assert not _is_family_member(Graph.from_edges(g.labels, g.edges() + [("x1", "x3")]))
 
 
 def test_trivial_girth_bound_shares_the_unfiltered_level():

@@ -123,7 +123,7 @@ def test_disjoint_union_label_collisions():
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(max_n=7))
+@given(graphs(max_n=11))
 def test_girth_matches_networkx(g):
     h = to_nx(g)
     try:
