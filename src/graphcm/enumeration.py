@@ -67,6 +67,7 @@ results do not depend on worker count or stream order.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -491,13 +492,6 @@ def theorem_ids() -> tuple:
     return tuple(_THEOREMS)
 
 
-def _check_one(args):
-    theorem_id, g6, chars = args
-    g = from_graph6(g6)
-    pred = _THEOREMS[theorem_id][3]
-    return g6 if not pred(g, chars) else None
-
-
 def verify_theorem(
     theorem_id: str,
     n_max: int = None,
@@ -544,20 +538,17 @@ def verify_theorem(
     else:
         stream = list(enumerate_connected_upto(n_max, filt))
 
-    checked = len(stream)
+    check = functools.partial(pred, chars=chars)
     if workers > 1:
         # imported only here: multiprocessing and what it loads (pickle,
         # socket, selectors) are about 1 MB of every process's memory
         from multiprocessing import get_context
 
-        jobs = [(theorem_id, to_graph6(g), chars) for g in stream]
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_check_one, jobs, chunksize=16)
-        bad = [g6 for g6 in results if g6 is not None]
+        with get_context("fork").Pool(workers) as pool:
+            holds = pool.map(check, stream, chunksize=16)
     else:
-        bad = [to_graph6(g) for g in stream if not pred(g, chars)]
-    bad = sorted(bad)
+        holds = map(check, stream)
+    bad = sorted(to_graph6(g) for g, ok in zip(stream, holds) if not ok)
     # CM means CM over every configured field; a counterexample that is CM
     # over some fields but not others is a finding worth calling out
     for g6 in bad:
@@ -568,7 +559,7 @@ def verify_theorem(
         theorem=theorem_id,
         n_max=n_max,
         fields=chars,
-        graphs_checked=checked,
+        graphs_checked=len(stream),
         counterexamples=tuple(bad),
         elapsed_s=time.monotonic() - start,
         notes=tuple(notes),

@@ -21,7 +21,7 @@ from .complexes import DEFAULT_FIELDS, is_cm_graph
 from .graph import Graph, GraphInputError, PreconditionError, complete_graph, cycle_graph, path_graph
 from .graphio import from_edge_list
 from .independence import is_well_covered
-from .recognition import recognize_pc
+from .recognition import _has_cycle_of_length, recognize_pc
 
 
 def _family_labels(count: int) -> tuple:
@@ -135,8 +135,6 @@ def fixture_expectations(name: str) -> dict:
 def validate_fixture(name: str, fields=DEFAULT_FIELDS) -> list:
     """Check a fixture against its oracle; returns a list of failure
     messages (empty when the fixture is good)."""
-    from .recognition import _has_cycle_of_length
-
     g = catalog(name)
     want = fixture_expectations(name)
     bad = []

@@ -20,6 +20,13 @@ edge, and it exists exactly when no two pendant edges meet
 candidate pieces; candidate basicness is always judged against the full
 graph, and certificates are witnesses, not canonical objects.
 
+One derivation on vertex indices, ``_pieces(adj, kinds)``, builds the
+pieces for SQC, SC, PC, both T3 conditions, the validators and the cactus
+count, each asking only for the kinds it reads; labels appear only in the
+public lists and in certificates built from the chosen cover.  Nothing is
+memoised on the graph: a memo would stay resident on every level graph
+that enumeration keeps through a run, and a stream asks about each once.
+
 Basic cycles are built from the vertices of degree two in g, never by
 listing all cycles.  A basic 3-cycle is a degree-2 vertex with its two
 neighbours, when they are adjacent.  The vertices of degree >= 3 on a
@@ -44,25 +51,17 @@ from .graph import Graph, INFINITY, PreconditionError, bits
 from .independence import independence_number, is_w2, is_well_covered
 from .planarity import is_planar
 
-# -- simplicial vertices and simplexes -----------------------------------------
+# -- pieces on vertex indices ------------------------------------------------------
 
 
-def simplicial_vertices(g: Graph) -> frozenset:
-    """All vertices whose closed neighbourhood induces a complete graph."""
-    out = []
-    for v in range(g.n):
-        nmask = g.adj[v] | 1 << v
-        if all((g.adj[u] | 1 << u) & nmask == nmask for u in bits(g.adj[v])):
-            out.append(g.labels[v])
-    return frozenset(out)
-
-
-def is_simplicial_graph(g: Graph) -> bool:
-    """Every vertex belongs to some simplex of g."""
-    return _piece_cover(g, simplicial_vertices(g), ()) == g.full_mask
-
-
-# -- cycles ------------------------------------------------------------------------
+def _simplicial(adj) -> int:
+    """Mask of the vertices whose closed neighbourhood induces a complete graph."""
+    out = 0
+    for v, row in enumerate(adj):
+        nmask = row | 1 << v
+        if all((adj[u] | 1 << u) & nmask == nmask for u in bits(row)):
+            out |= 1 << v
+    return out
 
 
 def _has_cycle_of_length(g: Graph, length: int) -> bool:
@@ -88,17 +87,96 @@ def _oriented(cyc: tuple) -> tuple:
     return cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
 
 
-def _degree_two_edges(g: Graph):
+def _degree_two_edges(adj):
     """Yield (x, y, s, r) for each edge xy with x < y and both ends of
     degree 2, where s is the other neighbour of x and r that of y."""
-    adj = g.adj
-    two = 0
-    for v, row in enumerate(adj):
-        if row.bit_count() == 2:
-            two |= 1 << v
+    two = _mask(v for v, row in enumerate(adj) if row.bit_count() == 2)
     for x in bits(two):
         for y in bits(adj[x] & two & -(2 << x)):
             yield x, y, (adj[x] ^ 1 << y).bit_length() - 1, (adj[y] ^ 1 << x).bit_length() - 1
+
+
+def _five_cycles(adj) -> list:
+    """5-cycles with no two adjacent vertices of degree three or more.
+
+    Each is built from a degree-2 edge x-y it runs through, as
+    x-y-r-z-s with s, r the other neighbours of x, y and z a common
+    neighbour of r and s (see the module docstring for why one exists)."""
+    degree = [row.bit_count() for row in adj]
+    if degree.count(2) < 3:
+        return []
+    high = _mask(v for v, d in enumerate(degree) if d >= 3)
+    found = set()
+    for x, y, s, r in _degree_two_edges(adj):
+        if r == s:
+            continue
+        for z in bits(adj[r] & adj[s]):
+            h = (1 << r | 1 << s | 1 << z) & high
+            if not any(adj[v] & h for v in bits(h)):
+                found.add(_oriented((x, y, r, z, s)))
+    return sorted(found)
+
+
+def _four_cycles(adj, allowed: int) -> list:
+    """(cycle, pair) for each 4-cycle x-y-r-s through a degree-2 pair x-y
+    with r, s in ``allowed``, ordered by the cycle, then by the pair's place."""
+    found = []
+    for x, y, s, r in _degree_two_edges(adj):
+        if r != s and adj[r] >> s & 1 and allowed >> r & 1 and allowed >> s & 1:
+            cyc = _oriented((x, y, r, s))
+            i = cyc.index(x)
+            found.append((cyc, i if cyc[(i + 1) % 4] == y else (i - 1) % 4))
+    return [(cyc, (cyc[k], cyc[(k + 1) % 4])) for cyc, k in sorted(found)]
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _union(pieces) -> int:
+    """Mask of the vertices in some of the (mask, kind, payload) pieces."""
+    cover = 0
+    for m, _kind, _payload in pieces:
+        cover |= m
+    return cover
+
+
+def _pieces(adj, kinds: str) -> list:
+    """The exact-cover candidates (mask, kind, payload) of ``kinds``, a
+    subsequence of "SCQ", kind by kind and each kind in mask order, with
+    the first payload of each mask: "S" simplexes, payload the simplicial
+    vertex; "C" basic 5-cycles, payload the cycle; "Q" degree-2 pairs,
+    payload (cycle, pair), which need "SC" for their other two vertices."""
+    out = []
+    for kind in kinds:
+        if kind == "S":
+            candidates = ((adj[x] | 1 << x, x) for x in bits(_simplicial(adj)))
+        elif kind == "C":
+            candidates = ((_mask(cyc), cyc) for cyc in _five_cycles(adj))
+        else:
+            candidates = ((_mask(pair), (cyc, pair)) for cyc, pair in _four_cycles(adj, _union(out)))
+        first = {}
+        for m, payload in candidates:
+            first.setdefault(m, payload)
+        out += [(m, kind, first[m]) for m in sorted(first)]
+    return out
+
+
+# -- the public lists, on labels ------------------------------------------------
+
+
+def _labelled(g: Graph, vertices) -> tuple:
+    return tuple(g.labels[v] for v in vertices)
+
+
+def simplicial_vertices(g: Graph) -> frozenset:
+    """All vertices whose closed neighbourhood induces a complete graph."""
+    return g.label_set(_simplicial(g.adj))
+
+
+def is_simplicial_graph(g: Graph) -> bool:
+    """Every vertex belongs to some simplex of g."""
+    return _union(_pieces(g.adj, "S")) == g.full_mask
 
 
 def basic_3_cycles(g: Graph) -> list:
@@ -111,71 +189,19 @@ def basic_3_cycles(g: Graph) -> list:
             a, b = bits(row)
             if adj[a] >> b & 1:
                 found.add(_oriented((v, a, b)))
-    labels = g.labels
-    return [tuple(labels[u] for u in cyc) for cyc in sorted(found)]
+    return [_labelled(g, cyc) for cyc in sorted(found)]
 
 
 def basic_5_cycles(g: Graph) -> list:
     """5-cycles with no two adjacent vertices of degree three or more,
-    oriented and in lexicographic order.
-
-    Each is built from a degree-2 edge x-y it runs through, as
-    x-y-r-z-s with s, r the other neighbours of x, y and z a common
-    neighbour of r and s (see the module docstring for why one exists)."""
-    adj = g.adj
-    degree = [row.bit_count() for row in adj]
-    if degree.count(2) < 3:
-        return []
-    high = 0
-    for v, d in enumerate(degree):
-        if d >= 3:
-            high |= 1 << v
-    found = set()
-    for x, y, s, r in _degree_two_edges(g):
-        if r == s:
-            continue
-        for z in bits(adj[r] & adj[s]):
-            h = (1 << r | 1 << s | 1 << z) & high
-            if not any(adj[v] & h for v in bits(h)):
-                found.add(_oriented((x, y, r, z, s)))
-    labels = g.labels
-    return [tuple(labels[v] for v in cyc) for cyc in sorted(found)]
-
-
-def _basic_4_cycles(g: Graph, allowed: int) -> list:
-    """basic_4_cycles with the mask of vertices in a simplex or a basic
-    5-cycle given; ordered by the oriented cycle, then by the position
-    of the pair on it."""
-    adj = g.adj
-    found = []
-    for x, y, s, r in _degree_two_edges(g):
-        if r != s and adj[r] >> s & 1 and allowed >> r & 1 and allowed >> s & 1:
-            cyc = _oriented((x, y, r, s))
-            i = cyc.index(x)
-            found.append((cyc, i if cyc[(i + 1) % 4] == y else (i - 1) % 4))
-    labels = g.labels
-    return [
-        (tuple(labels[v] for v in cyc), (labels[cyc[k]], labels[cyc[(k + 1) % 4]]))
-        for cyc, k in sorted(found)
-    ]
-
-
-def _piece_cover(g: Graph, simplicial, five_cycles) -> int:
-    """Mask of the vertices in some simplex N[x], x in ``simplicial``, or in
-    some cycle of ``five_cycles``."""
-    cover = 0
-    for v in simplicial:
-        i = g.index(v)
-        cover |= g.adj[i] | 1 << i
-    for cyc in five_cycles:
-        cover |= g.mask_of(cyc)
-    return cover
+    oriented and in lexicographic order."""
+    return [_labelled(g, cyc) for cyc in _five_cycles(g.adj)]
 
 
 def basic_4_cycles(g: Graph) -> list:
     """4-cycles with an adjacent degree-2 pair whose other two vertices each
     belong to a simplex or a basic 5-cycle of g; returned with that pair."""
-    return _basic_4_cycles(g, _piece_cover(g, simplicial_vertices(g), basic_5_cycles(g)))
+    return [(_labelled(g, c), _labelled(g, p)) for c, p in _four_cycles(g.adj, _union(_pieces(g.adj, "SC")))]
 
 
 def _pendant_mask(g: Graph):
@@ -230,16 +256,19 @@ class SqcCertificate:
             seen |= piece
         if seen != set(g.labels):
             return False
-        sv = simplicial_vertices(g)
-        for x, simplex in self.simplexes:
-            if x not in sv or frozenset(g.closed_neighborhood(x)) != frozenset(simplex):
-                return False
-        five = basic_5_cycles(g)
-        b5 = {frozenset(c) for c in five}
-        if any(frozenset(c) not in b5 for c in self.five_cycles):
+        adj, pieces = g.adj, _pieces(g.adj, "SCQ")
+        # a vertex y of a simplex S is simplicial exactly when N[y] = S
+        simplexes = {
+            (g.labels[y], g.label_set(m)) for m, kind, _ in pieces if kind == "S" for y in bits(m) if adj[y] | 1 << y == m
+        }
+        if any((x, frozenset(simplex)) not in simplexes for x, simplex in self.simplexes):
             return False
-        b4 = {(frozenset(c), frozenset(p)) for c, p in _basic_4_cycles(g, _piece_cover(g, sv, five))}
-        if any((frozenset(c), frozenset(p)) not in b4 for c, p in self.four_cycles):
+        five = {g.label_set(m) for m, kind, _ in pieces if kind == "C"}
+        if any(frozenset(c) not in five for c in self.five_cycles):
+            return False
+        # a degree-2 pair lies on one 4-cycle only, so Q pieces list them all
+        four = {(g.label_set(_mask(q[0])), g.label_set(m)) for m, kind, q in pieces if kind == "Q"}
+        if any((frozenset(c), frozenset(p)) not in four for c, p in self.four_cycles):
             return False
         return independence_number(g) == self.m + 2 * self.s + self.t
 
@@ -269,16 +298,15 @@ class PcCertificate:
         edges = self.pendant_matching
         if p_mask is None or len(edges) != len(pend) or set(map(frozenset, edges)) != pend:
             return False
-        five = basic_5_cycles(g)
-        b5 = {frozenset(c) for c in five}
+        pieces = _pieces(g.adj, "C")
+        five = {g.label_set(m): m for m, _kind, _cyc in pieces}
         c_mask = 0
         for cyc in self.basic5_partition:
-            if frozenset(cyc) not in b5 or c_mask & g.mask_of(cyc):
+            m = five.get(frozenset(cyc))
+            if m is None or c_mask & m:
                 return False
-            c_mask |= g.mask_of(cyc)
-        if c_mask != _piece_cover(g, (), five):
-            return False
-        return not p_mask & c_mask and p_mask | c_mask == g.full_mask
+            c_mask |= m
+        return c_mask == _union(pieces) and not p_mask & c_mask and p_mask | c_mask == g.full_mask
 
     def to_text(self) -> str:
         parts = [f"P=({u},{v})" for u, v in self.pendant_matching]
@@ -290,104 +318,59 @@ class PcCertificate:
 
 
 def _exact_cover(universe_mask: int, pieces: list):
-    """Deterministic exact-cover backtracking.
-
-    ``pieces`` is an ordered list of (mask, payload); the first cover found
-    in that order is returned as a list of payload values, or None.
-    """
+    """Deterministic exact-cover backtracking: the first cover of the
+    universe by the ordered (mask, kind, payload) pieces, or None."""
     chosen = []
 
     def rec(remaining):
         if remaining == 0:
             return True
         pivot = (remaining & -remaining).bit_length() - 1
-        for mask, payload in pieces:
+        for piece in pieces:
+            mask = piece[0]
             if mask >> pivot & 1 and mask & ~remaining == 0:
-                chosen.append(payload)
+                chosen.append(piece)
                 if rec(remaining & ~mask):
                     return True
                 chosen.pop()
         return False
 
-    if rec(universe_mask):
-        return chosen
-    return None
+    return chosen if rec(universe_mask) else None
 
 
-def _simplex_pieces(g: Graph):
-    """Candidate (mask, (vertex, simplex)) pieces, one per distinct simplex;
-    the representative is the simplicial vertex of the simplex that comes
-    first in g's vertex order."""
-    simplicial = simplicial_vertices(g)
-    by_mask = {}
-    for i, v in enumerate(g.labels):
-        if v not in simplicial:
-            continue
-        mask = g.adj[i] | 1 << i
-        if mask not in by_mask:
-            by_mask[mask] = (v, g.label_set(mask))
-    return sorted(((m, p) for m, p in by_mask.items()), key=lambda kv: kv[0])
-
-
-def _five_cycle_pieces(g: Graph):
-    by_mask = {}
-    for cyc in basic_5_cycles(g):
-        mask = g.mask_of(cyc)
-        by_mask.setdefault(mask, cyc)
-    return sorted(by_mask.items(), key=lambda kv: kv[0])
-
-
-def _four_cycle_pieces(g: Graph, allowed: int):
-    """One (pair mask, (cycle, pair)) piece per degree-2 pair; ``allowed``
-    is the _piece_cover of g."""
-    by_mask = {}
-    for cyc, pair in _basic_4_cycles(g, allowed):
-        mask = g.mask_of(pair)
-        by_mask.setdefault(mask, (cyc, pair))
-    return sorted(by_mask.items(), key=lambda kv: kv[0])
-
-
-def _partition(g: Graph, four_cycles: bool):
-    """The first exact cover of V(g) by the SQC pieces, 4-cycle pieces only
-    if ``four_cycles``, as an SqcCertificate; None when there is none."""
-    pieces = [(m, ("S", p)) for m, p in _simplex_pieces(g)]
-    pieces += [(m, ("C", p)) for m, p in _five_cycle_pieces(g)]
-    if four_cycles:
-        allowed = 0
-        for m, _ in pieces:
-            allowed |= m
-        pieces += [(m, ("Q", p)) for m, p in _four_cycle_pieces(g, allowed)]
-    cover = _exact_cover(g.full_mask, pieces)
+def _partition(g: Graph, kinds: str):
+    """The first exact cover of V(g) by the pieces of ``kinds`` as an
+    SqcCertificate, or None."""
+    cover = _exact_cover(g.full_mask, _pieces(g.adj, kinds))
     if cover is None:
         return None
     return SqcCertificate(
-        simplexes=tuple(p for kind, p in cover if kind == "S"),
-        five_cycles=tuple(p for kind, p in cover if kind == "C"),
-        four_cycles=tuple(p for kind, p in cover if kind == "Q"),
+        simplexes=tuple((g.labels[x], g.label_set(m)) for m, kind, x in cover if kind == "S"),
+        five_cycles=tuple(_labelled(g, cyc) for _, kind, cyc in cover if kind == "C"),
+        four_cycles=tuple((_labelled(g, q[0]), _labelled(g, q[1])) for _, kind, q in cover if kind == "Q"),
     )
 
 
 def recognize_sqc(g: Graph):
-    return _partition(g, four_cycles=True)
+    return _partition(g, "SCQ")
 
 
 def recognize_sc(g: Graph):
     """SQC without 4-cycle pieces: an SqcCertificate with t == 0, or None."""
-    return _partition(g, four_cycles=False)
+    return _partition(g, "SC")
 
 
 def recognize_pc(g: Graph):
     p_mask = _pendant_mask(g)
-    five = _five_cycle_pieces(g)
-    c_mask = 0
-    for m, _ in five:
-        c_mask |= m
+    five = _pieces(g.adj, "C")
+    c_mask = _union(five)
     if p_mask is None or p_mask & c_mask or p_mask | c_mask != g.full_mask:
         return None
     cover = _exact_cover(c_mask, five)
     if cover is None:
         return None
-    return PcCertificate(pendant_matching=g.pendant_edges(), basic5_partition=tuple(cover))
+    cycles = tuple(_labelled(g, cyc) for _, _, cyc in cover)
+    return PcCertificate(pendant_matching=g.pendant_edges(), basic5_partition=cycles)
 
 
 # -- theorem-shaped conditions -----------------------------------------------------
@@ -397,7 +380,7 @@ def t3_partition_condition(g: Graph) -> bool:
     """Simplicial vertices of degree at most 3 whose closed neighbourhoods
     partition V(G).  Every simplicial vertex of a simplex S has degree
     |S| - 1, so these are the simplexes of at most 4 vertices."""
-    pieces = [(m, p) for m, p in _simplex_pieces(g) if m.bit_count() <= 4]
+    pieces = [piece for piece in _pieces(g.adj, "S") if piece[0].bit_count() <= 4]
     return _exact_cover(g.full_mask, pieces) is not None
 
 
@@ -405,10 +388,8 @@ def t3_simplicial_condition(g: Graph) -> bool:
     """Well-covered simplicial graph with every simplicial vertex of degree
     at most 3 (the equivalent reformulation; cross-checked in the
     verification suites)."""
-    sv = simplicial_vertices(g)
-    if not sv or not is_simplicial_graph(g):
-        return False
-    if any(g.degree(v) > 3 for v in sv):
+    simplexes = _pieces(g.adj, "S")
+    if not simplexes or _union(simplexes) != g.full_mask or any(m.bit_count() > 4 for m, _, _ in simplexes):
         return False
     return is_well_covered(g)
 
@@ -436,25 +417,22 @@ def cactus_cm_condition(g: Graph) -> bool:
         3-cycle, basic 4-cycle or basic 5-cycle;
     (b) every vertex of degree at least 3 lies on exactly one pendant edge,
         basic 3-cycle or basic 5-cycle.
+
+    Each counts once per vertex set.  A simplex of a cactus is K1, a
+    pendant edge or a basic 3-cycle (N[x] for a simplicial x of degree 0,
+    1 or 2), and sets of the four kinds differ in size.
     """
     if not is_cactus(g):
         raise PreconditionError("cactus_cm_condition requires a cactus graph")
-    pend = g.pendant_edges()
-    b3 = {frozenset(c) for c in basic_3_cycles(g)}
-    b4 = {frozenset(c) for c, _pair in basic_4_cycles(g)}
-    b5 = {frozenset(c) for c in basic_5_cycles(g)}
-    for v in g.labels:
-        d = g.degree(v)
-        if d < 2:
-            continue
-        count = sum(1 for e in pend if v in e)
-        count += sum(1 for c in b3 if v in c)
-        count += sum(1 for c in b5 if v in c)
-        if d == 2:
-            count += sum(1 for c in b4 if v in c)
-        if count != 1:
+    pieces = _pieces(g.adj, "SCQ")
+    high = {m for m, kind, _ in pieces if kind != "Q"}
+    two = high | {_mask(q[0]) for _, kind, q in pieces if kind == "Q"}
+    for v, row in enumerate(g.adj):
+        d = row.bit_count()
+        if d >= 2 and sum(m >> v & 1 for m in (two if d == 2 else high)) != 1:
             return False
     return True
+
 
 
 def square_cm_criterion(g: Graph, field) -> bool:

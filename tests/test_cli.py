@@ -207,6 +207,17 @@ def test_verify_all_rejects_an_empty_range():
     assert done.returncode == 0 and done.stdout.startswith("T3       n<=5:     14 graphs, ok")
 
 
+def test_family_report_rejects_an_index_below_one():
+    root = os.path.dirname(os.path.dirname(os.path.dirname(graphcm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = [sys.executable, os.path.join(root, "scripts", "family_report.py")]
+    done = subprocess.run(argv + ["2", "0"], env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "family index must be at least 1" in done.stderr
+    done = subprocess.run(argv + ["2"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.startswith("=== gen_G(2) ===\n")
+
+
 def test_girth5_census_rejects_an_empty_range_and_a_size_past_the_cap():
     root = os.path.dirname(os.path.dirname(os.path.dirname(graphcm.__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))

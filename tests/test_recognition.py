@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -54,10 +53,6 @@ def test_simplex_representative_is_first_in_vertex_order(name):
     # twins 2 and 10 share the simplex {1, 2, 10}; as strings "10" < "2"
     edges = [(1, 2), (1, 10), (2, 10), (0, 1), (0, 3), (0, 4), (4, 5), (4, 6), (6, 7), (6, 8), (8, 9)]
     g = Graph.from_edges([name(i) for i in range(11)], [(name(a), name(b)) for a, b in edges])
-    from graphcm.recognition import _simplex_pieces
-
-    triangle = g.mask_of(name(i) for i in (1, 2, 10))
-    assert dict(_simplex_pieces(g))[triangle][0] == name(2)
     cert = recognize_sqc(g)
     assert cert.validate(g)
     assert (name(2), frozenset(name(i) for i in (1, 2, 10))) in cert.simplexes
@@ -194,35 +189,10 @@ def test_pc_subset_of_sqc(small_connected):
             assert recognize_sqc(g) is not None
 
 
-def _brute_sqc_exists(g):
-    """Exact cover by brute force over all piece subsets."""
-    from graphcm.recognition import _four_cycle_pieces, _simplex_pieces, _five_cycle_pieces
-
-    pieces = [m for m, _ in _simplex_pieces(g)]
-    pieces += [m for m, _ in _five_cycle_pieces(g)]
-    cover = 0
-    for m in pieces:
-        cover |= m
-    pieces += [m for m, _ in _four_cycle_pieces(g, cover)]
-    full = g.full_mask
-    for r in range(len(pieces) + 1):
-        for combo in itertools.combinations(pieces, r):
-            union = 0
-            ok = True
-            for m in combo:
-                if union & m:
-                    ok = False
-                    break
-                union |= m
-            if ok and union == full:
-                return True
-    return False
-
-
 @settings(max_examples=40, deadline=None)
 @given(graphs(min_n=1, max_n=6))
 def test_sqc_matches_brute_force_cover(g):
-    assert (recognize_sqc(g) is not None) == _brute_sqc_exists(g)
+    assert (recognize_sqc(g) is not None) == _oracle_classes(g)[0]
 
 
 def test_t3_examples():
@@ -326,11 +296,11 @@ def test_basic_cycles_edge_cases():
     _assert_basic_cycles_match(paw)
     # C4: every edge is a degree-2 pair; none qualifies in C4 itself, and
     # with every vertex allowed all four do, in the order of k
-    from graphcm.recognition import _basic_4_cycles
+    from graphcm.recognition import _four_cycles
 
     c4 = cycle_graph(4)
     _assert_basic_cycles_match(c4)
-    all_four = _basic_4_cycles(c4, c4.full_mask)
+    all_four = _four_cycles(c4.adj, c4.full_mask)
     assert all_four == brute_basic_4_cycles(c4, allowed=c4.full_mask)
     assert [pair for _cyc, pair in all_four] == [(0, 1), (1, 2), (2, 3), (3, 0)]
     k2 = complete_graph(2)
@@ -397,8 +367,8 @@ def test_basic_5_cycles_listed_once_per_call(monkeypatch):
     import graphcm.recognition as rec
 
     calls = []
-    real = rec.basic_5_cycles
-    monkeypatch.setattr(rec, "basic_5_cycles", lambda g: calls.append(g) or real(g))
+    real = rec._five_cycles
+    monkeypatch.setattr(rec, "_five_cycles", lambda adj: calls.append(adj) or real(adj))
     c5 = cycle_graph(5)
     sqc, pc = recognize_sqc(c5), recognize_pc(c5)
     for step in (lambda: recognize_sqc(Q_GRAPH), lambda: sqc.validate(c5), lambda: pc.validate(c5)):
