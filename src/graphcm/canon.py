@@ -50,10 +50,12 @@ orbit of a set under a subgroup lies inside its orbit under Aut(g), so
 skipping the other members of a subgroup orbit only ever skips isomorphic
 copies.  Nothing here relies on the whole group.
 
-A graph is searched at most once.  The first of ``canonical_form``,
-``canonical_order`` and ``automorphisms`` asked of it runs the search, and
-the graph keeps the whole result: the form, and the order followed by the
-stored automorphisms packed one byte per vertex (n is at most 64).
+An adjacency is searched at most once between resets: the search reads
+only ``g.adj``, and ``_KEPT`` keeps its whole result under the adjacency
+until ``complexes.clear_caches()`` empties it with the class table.  So
+the table holds every adjacency searched since the last reset, and a
+generator that streams levels must reset per level, or the table keeps
+what streaming was meant to release.
 """
 
 from __future__ import annotations
@@ -130,42 +132,46 @@ def _twin_automorphisms(adj, cells):
     return out
 
 
+# adjacency -> its one search's result, one byte per vertex (n is at most
+# 64): the form, the canonical order, then each stored automorphism
+_KEPT: dict = {}
+
+
 def _kept(g: Graph) -> tuple:
-    """``(form, perms)`` from the one canonical search of g.  ``perms``
-    packs the canonical order and then each stored automorphism, one byte
-    per vertex.  The first call searches and keeps both on g; later calls
-    only read them."""
-    form = g.__dict__.get("_canon_form")
-    if form is not None:
-        return form, g.__dict__["_canon_perms"]
-    rows, order, autos = _search(g)
+    """The packed result of the one search of g's adjacency and the length
+    of its form.  The first call searches and keeps it; later ones read."""
     n = g.n
-    acc = 0
-    for k in range(1, n):
-        acc = (acc << k) | rows[k]
-    perms = g.__dict__["_canon_perms"] = bytes(order) + b"".join(map(bytes, autos))
-    form = g.__dict__["_canon_form"] = bytes([n]) + acc.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
-    return form, perms
+    k = 1 + (n * (n - 1) // 2 + 7) // 8
+    got = _KEPT.get(g.adj)
+    if got is None:
+        rows, order, autos = _search(g)
+        acc = 0
+        for i in range(1, n):
+            acc = (acc << i) | rows[i]
+        got = _KEPT[g.adj] = bytes([n]) + acc.to_bytes(k - 1, "big") + bytes(order) + b"".join(map(bytes, autos))
+    return got, k
 
 
 def canonical_form(g: Graph) -> bytes:
     """The canonical byte string of g."""
-    return _kept(g)[0]
+    packed, k = _kept(g)
+    return packed[:k]
 
 
 def canonical_order(g: Graph) -> tuple:
     """A canonical vertex ordering (position -> internal index); graphs with
     equal canonical forms place corresponding vertices at equal positions."""
-    return tuple(_kept(g)[1][:g.n])
+    packed, k = _kept(g)
+    return tuple(packed[k:k + g.n])
 
 
 def automorphisms(g: Graph) -> list:
     """The automorphisms the canonical search of g stored, each as a list
     ``perm`` of internal indices (``perm[i]`` is the image of ``i``); they
     generate a subgroup of Aut(g), possibly all of it."""
-    perms = _kept(g)[1]
+    packed, k = _kept(g)
     n = g.n
-    return [list(perms[i:i + n]) for i in range(n, len(perms), n or 1)]  # n == 0: none
+    return [list(packed[i:i + n]) for i in range(k + n, len(packed), n or 1)]  # n == 0: none
 
 
 def _search(g: Graph):

@@ -43,7 +43,7 @@ which implies pure, and purity needs only the maximal independent sets.
 
 Children are punched at one vertex per orbit.  The one canonical search
 of a graph (``canon``) gives its form and stores automorphisms of it, and
-the graph keeps both.  A record keys on the form of its graph, and when its
+``canon`` keeps both.  A record keys on the form of its graph, and when its
 children are first needed it keeps each vertex's orbit under the group the
 automorphisms generate.  An automorphism s of G carries G minus N[v] onto
 G minus N[s(v)], so vertices of one orbit have isomorphic punches, and the
@@ -58,7 +58,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from . import linalg
+from . import canon, linalg
 from .canon import automorphisms, canonical_form
 from .graph import Graph, GraphInputError, bits
 from .independence import _mis_masks, independence_number, is_well_covered
@@ -483,7 +483,9 @@ _PROFILE_CACHE: dict = {}
 
 
 def clear_caches():
+    """Empty the class table and the canonical searches it was keyed by."""
     _PROFILE_CACHE.clear()
+    canon._KEPT.clear()
 
 
 def _char(field) -> int:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import brute_is_isomorphic, brute_refine, graphs, to_nx
 
+from graphcm import complexes
 from graphcm.canon import _refine, automorphisms, canonical_form, canonical_order, is_isomorphic, isomorphism_map
 from graphcm.graph import Graph, bits, complete_bipartite, complete_graph, cycle_graph, path_graph
+from graphcm.graphio import to_graph6
 from graphcm.families import gen_G
 
 
@@ -90,6 +92,7 @@ def _from_nx(h: nx.Graph) -> Graph:
 
 
 def _timed_form(g: Graph) -> bytes:
+    complexes.clear_caches()  # time a search, not a lookup of an earlier one
     start = time.perf_counter()
     form = canonical_form(g)
     assert time.perf_counter() - start < 1.0, g
@@ -97,7 +100,6 @@ def _timed_form(g: Graph) -> bytes:
 
 
 def test_symmetric_graphs_have_no_factorial_cliff():
-    # each builder makes a fresh Graph, so no call reuses a cached search
     builders = {
         "E10": lambda: Graph.empty(10),
         "K10": lambda: complete_graph(10),
@@ -223,18 +225,39 @@ def test_stored_automorphisms_are_automorphisms(g):
     assert all(_is_automorphism(g, perm) for perm in automorphisms(g))
 
 
+def _generates_the_group(g: Graph) -> bool:
+    gens = automorphisms(g)
+    h = to_nx(g)
+    want = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
+    return all(_is_automorphism(g, perm) for perm in gens) and _group_order(g.n, gens) == want
+
+
 def test_stored_automorphisms_generate_the_group_on_atlas():
     # pruning by orbits needs only genuine automorphisms; that they give the
     # whole group here is what dropping the generator's dedup would rest on
-    checked = 0
-    for h in nx.graph_atlas_g()[1:]:
-        g = _from_nx(h)
-        gens = automorphisms(g)
-        assert all(_is_automorphism(g, perm) for perm in gens), h.edges()
-        want = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
-        assert _group_order(g.n, gens) == want, h.edges()
-        checked += 1
-    assert checked == 1252
+    atlas = [_from_nx(h) for h in nx.graph_atlas_g()[1:]]
+    assert len(atlas) == 1252
+    assert [to_graph6(g) for g in atlas if not _generates_the_group(g)] == []
+
+
+def test_stored_automorphisms_generate_the_group_beyond_the_atlas():
+    # every 20th connected graph on 8 vertices, random connected graphs on
+    # 9-12 vertices, and vertex-transitive graphs, where refinement alone
+    # separates nothing
+    from graphcm.enumeration import enumerate_connected
+
+    level = list(enumerate_connected(8))
+    assert len(level) == 11117
+    rnd = random.Random(12)
+    randoms = []
+    while len(randoms) < 200:
+        h = nx.gnp_random_graph(rnd.randint(9, 12), rnd.uniform(0.2, 0.6), seed=rnd.randrange(1 << 30))
+        if nx.is_connected(h):
+            randoms.append(_from_nx(h))
+    circulants = ((8, [1, 2]), (9, [1, 3]), (10, [1, 4]), (12, [1, 5]), (13, [1, 3, 4]))
+    transitive = [_from_nx(nx.hypercube_graph(3))] + [_from_nx(nx.circulant_graph(n, j)) for n, j in circulants]
+    inputs = level[::20] + randoms + transitive
+    assert [to_graph6(g) for g in inputs if not _generates_the_group(g)] == []
 
 
 def test_automorphisms_of_named_graphs():
@@ -253,27 +276,34 @@ def test_automorphisms_of_named_graphs():
         assert _group_order(g.n, gens) == order, name
 
 
-# -- one search per graph ---------------------------------------------------------
+# -- one search per adjacency between resets -------------------------------------
 
 
-def test_each_graph_is_searched_at_most_once(monkeypatch):
-    # forms, orders and automorphisms all come from one kept search, in
-    # whatever order generation, the class table and the VD walk ask for them
-    from graphcm import canon, complexes, enumeration
-    from graphcm.decomposability import is_vertex_decomposable, replay_certificate
+def _count_searches(monkeypatch) -> dict:
+    """Patch the search to count its calls per adjacency; reset first."""
+    from graphcm import canon, enumeration
 
     searched = {}
-    keep = []  # alive, so no id is reused
     search = canon._search
 
     def counted(g):
-        searched[id(g)] = searched.get(id(g), 0) + 1
-        keep.append(g)
+        searched[g.adj] = searched.get(g.adj, 0) + 1
         return search(g)
 
     monkeypatch.setattr(canon, "_search", counted)
     enumeration.clear_cache()
     complexes.clear_caches()
+    return searched
+
+
+def test_each_graph_is_searched_at_most_once(monkeypatch):
+    # forms, orders and automorphisms all come from one kept search per
+    # adjacency, in whatever order generation, the class table and the VD
+    # walk ask for them, and whichever Graph object carries the adjacency
+    from graphcm import enumeration
+    from graphcm.decomposability import is_vertex_decomposable, replay_certificate
+
+    searched = _count_searches(monkeypatch)
     level = list(enumeration.enumerate_connected_upto(7))
     assert len(level) == 1 + 1 + 2 + 6 + 21 + 112 + 853
     for g in level:
@@ -284,3 +314,26 @@ def test_each_graph_is_searched_at_most_once(monkeypatch):
     assert len(searched) > len(level)
     assert max(searched.values()) == 1
     enumeration.clear_cache()
+
+
+def test_graphs_sharing_an_adjacency_share_one_search(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    g = Graph.from_edges("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e")])
+    h = Graph.from_edges("vwxyz", [("v", "w"), ("w", "x"), ("x", "y"), ("w", "z")])
+    assert g.adj == h.adj and g is not h
+    assert canonical_order(g) == canonical_order(h)
+    assert canonical_form(g) == canonical_form(h) and automorphisms(g) == automorphisms(h)
+    assert searched == {g.adj: 1}
+    assert isomorphism_map(g, h) == dict(zip(g.labels, h.labels))
+
+
+def test_a_reset_searches_again(monkeypatch):
+    # every benchmark pass starts from this reset, so each pass is cold
+    searched = _count_searches(monkeypatch)
+    g = cycle_graph(6)
+    form = canonical_form(g)
+    canonical_form(cycle_graph(6))
+    assert searched == {g.adj: 1}
+    complexes.clear_caches()
+    assert canonical_form(g) == form
+    assert searched == {g.adj: 2}

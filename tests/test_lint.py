@@ -95,3 +95,65 @@ def test_detector_flags_a_dead_definition():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_dead_definitions(path):
     assert _dead_definitions(path.read_text(), _named_by_readers()) == []
+
+
+# -- every process-wide cache is emptied by the benchmark's reset ------------------
+
+
+def _starts_empty(value) -> bool:
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id in ("set", "dict", "list")
+        and not value.args and not value.keywords
+    )
+
+
+def _empty_containers(source: str) -> list:
+    """Names bound at module level to a container that starts empty: ``{}``,
+    ``[]``, ``set()``, ``dict()`` or ``list()``.  A non-empty constant is no
+    cache."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and _starts_empty(node.value):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and _starts_empty(node.value) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+    return out
+
+
+def test_detector_flags_an_empty_module_container():
+    src = (
+        "A = {}\nB: dict = {}\nC = []\nD = set()\nE = dict()\n"
+        "F = {'x': 1}\nG = (1,)\nH = set('ab')\nI = dict(a=1)\nJ: int\n"
+        "def f():\n    K = {}\n    return K\n"
+    )
+    assert _empty_containers(src) == ["A", "B", "C", "D", "E"]
+
+
+def test_the_benchmark_reset_empties_every_module_cache():
+    # a cache the reset missed would carry one benchmark pass's work into the next
+    import importlib
+    import importlib.util
+
+    from graphcm.enumeration import verify_theorem
+    from graphcm.families import gen_G
+    from graphcm.recognition import classify
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    caches = {
+        f"{path.stem}.{name}": getattr(importlib.import_module(f"graphcm.{path.stem}"), name)
+        for path in MODULES
+        for name in _empty_containers(path.read_text())
+    }
+    assert {"canon._KEPT", "complexes._PROFILE_CACHE", "enumeration._LEVELS"} <= set(caches)
+    verify_theorem("COR2", 6)
+    classify(gen_G(3))
+    # a cache this run leaves empty proves nothing below; extend the run
+    assert [name for name, cache in caches.items() if not cache] == []
+    workloads.clear_caches()
+    assert [name for name, cache in caches.items() if cache] == []
