@@ -248,6 +248,7 @@ def _search(g: Graph):
         return n
 
     rec(root)
+    branch = None  # rec and branch close over each other; break the cycle
     return tuple(best_rows), tuple(best_perm), autos
 
 

@@ -29,17 +29,33 @@ definitions and serve as oracles.  Graphs have their own entry points
 (``graph_betti``, ``is_cm_graph``, ``is_gorenstein_graph``, ...), which run
 at graph level: the link of a face F in Delta(G) is Delta(G minus N[F]),
 again an independence complex.  These recursions walk one process-wide
-table of isomorphism classes keyed by canonical form
-(``_PROFILE_CACHE``).  A class record holds its children,
-the distinct classes of G minus N[v] over the vertices v, found once and
-then followed by reference; the classes of G minus v and of the edge
-punches, for doubly-CM and the square criterion; its purity
-(well-coveredness); its vertex-decomposability verdict (``decomposability``);
-and per characteristic its Betti numbers, its Reisner verdict and its
-Stanley verdict.  A second field, the other engine or another entry point
-on a class already met computes no canonical form again.  Both engines
-test purity before any homology: Gorenstein* implies Cohen-Macaulay,
-which implies pure, and purity needs only the maximal independent sets.
+table of isomorphism classes of connected graphs keyed by canonical form
+(``_PROFILE_CACHE``).  A class record holds its children, the distinct
+classes of the components of G minus N[v] over the vertices v, found once
+and then followed by reference; the graphs G minus v and the edge punches,
+each as the tuple of its components' classes, for doubly-CM and the square
+criterion; its purity (well-coveredness); its independence number; its
+vertex-decomposability verdict (``decomposability``); and per
+characteristic its Betti numbers, its Reisner verdict and its Stanley
+verdict.  A second field, the other engine or another entry point on a
+class already met computes no canonical form again.  Both engines test
+purity before any homology: Gorenstein* implies Cohen-Macaulay, which
+implies pure, and purity needs only the maximal independent sets.
+
+Components come first: a disconnected graph is never searched or
+face-enumerated, and every entry point reads it off its components'
+records (``_parts``).  Delta(G1 + G2) of a disjoint union is the join
+Delta(G1) * Delta(G2), and the link of a face F1 + F2 is the join of the
+two links.  Over a field the Kunneth formula for joins,
+H~_{i+j+1}(A * B) = sum of H~_i(A) (x) H~_j(B), makes a join's Betti
+numbers, indexed by face cardinality, the convolution of its factors'
+({emptyset}'s (1,) is the unit), and since the links of a join are joins
+of links, a join is Cohen-Macaulay, or Gorenstein*, iff both factors are.
+In algebra: k[Delta(G1 + G2)] is the tensor product over k of the factors'
+rings, and such a product is CM (Gorenstein) iff both factors are
+(Stanley, "Combinatorics and Commutative Algebra").  Purity ANDs and alpha
+adds up.  Deleting a vertex or punching an edge touches one component,
+which reduces doubly-CM and the edge-punch condition to components too.
 
 Children are punched at one vertex per orbit.  The one canonical search
 of a graph (``canon``) gives its form and stores automorphisms of it, and
@@ -454,17 +470,19 @@ def betti_profile(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile
 
 @dataclass(slots=True, eq=False)
 class _Class:
-    """One isomorphism class of graphs met by the link recursions.
+    """One isomorphism class of connected graphs met by the link recursions.
 
     ``graph`` is the first member seen; ``orbit`` maps each of its vertices
     to the least vertex of its orbit under the automorphisms its canonical
-    search stored; ``children``, ``deletions`` and ``edge_punches`` are the
-    distinct classes of its graphs minus N[v], minus v, and minus
-    N(x) | N(y) for an edge xy; ``pure`` is well-coveredness; ``shed`` is
-    the canonical position of the shedding vertex the vertex-decomposability
-    search chose, or -1 (``decomposability``); ``betti``, ``cm`` and ``gor``
-    map a characteristic to the reduced Betti numbers, the Reisner verdict
-    and the Gorenstein* verdict."""
+    search stored; ``children`` are the distinct classes of the components
+    of its graphs minus N[v]; ``deletions`` and ``edge_punches`` are its
+    distinct graphs minus v and minus N(x) | N(y) for an edge xy, each as
+    the tuple of its components' classes, since alpha sums over them with
+    multiplicity; ``pure`` is well-coveredness; ``alpha`` the independence
+    number; ``shed`` is the canonical position of the shedding vertex the
+    vertex-decomposability search chose, or -1 (``decomposability``);
+    ``betti``, ``cm`` and ``gor`` map a characteristic to the reduced Betti
+    numbers, the Reisner verdict and the Gorenstein* verdict."""
 
     graph: Graph
     orbit: bytes | None = None
@@ -472,13 +490,15 @@ class _Class:
     deletions: tuple | None = None
     edge_punches: tuple | None = None
     pure: bool | None = None
+    alpha: int | None = None
     shed: int | None = None
     betti: dict = dc_field(default_factory=dict)
     cm: dict = dc_field(default_factory=dict)
     gor: dict = dc_field(default_factory=dict)
 
 
-# canonical form -> _Class, shared by every field and both engines
+# canonical form of a connected graph -> _Class, shared by every field and
+# both engines
 _PROFILE_CACHE: dict = {}
 
 
@@ -511,12 +531,21 @@ def _orbits(n: int, autos) -> bytes:
 
 
 def _class_of(g: Graph) -> _Class:
-    """The record of g's class, keyed by its canonical form."""
+    """The record of the connected graph g's class, keyed by its canonical
+    form."""
     key = canonical_form(g)
     rec = _PROFILE_CACHE.get(key)
     if rec is None:
         rec = _PROFILE_CACHE[key] = _Class(g)
     return rec
+
+
+def _parts(g: Graph) -> tuple:
+    """The records of g's components; none for the empty graph."""
+    comps = g.component_masks()
+    if len(comps) == 1:
+        return (_class_of(g),)
+    return tuple(_class_of(g.keep_mask(mask)) for mask in comps)
 
 
 def _orbit(rec: _Class) -> bytes:
@@ -530,31 +559,33 @@ def _reps(rec: _Class) -> list:
     return [v for v, r in enumerate(_orbit(rec)) if v == r]
 
 
-def _classes(g: Graph, removed) -> tuple:
-    """The distinct classes of g minus each mask of ``removed``."""
+def _punches(g: Graph, removed) -> tuple:
+    """The distinct graphs g minus each mask of ``removed``, each as its
+    tuple of parts."""
     full = g.full_mask
-    return tuple(dict.fromkeys(_class_of(g.keep_mask(full & ~mask)) for mask in dict.fromkeys(removed)))
+    return tuple(dict.fromkeys(_parts(g.keep_mask(full & ~mask)) for mask in dict.fromkeys(removed)))
 
 
 def _children(rec: _Class) -> tuple:
-    """The distinct classes of g minus N[v] over the vertices v of g, from
-    one v per orbit: an automorphism carrying v to w carries g minus N[v]
-    onto g minus N[w]."""
+    """The distinct component classes of g minus N[v] over the vertices v
+    of g, from one v per orbit: an automorphism carrying v to w carries g
+    minus N[v] onto g minus N[w]."""
     if rec.children is None:
         adj = rec.graph.adj
-        rec.children = _classes(rec.graph, [adj[v] | 1 << v for v in _reps(rec)])
+        punches = _punches(rec.graph, [adj[v] | 1 << v for v in _reps(rec)])
+        rec.children = tuple(dict.fromkeys(itertools.chain.from_iterable(punches)))
     return rec.children
 
 
 def _deletions(rec: _Class) -> tuple:
-    """The distinct classes of g minus v, from one v per orbit."""
+    """The distinct graphs g minus v, from one v per orbit."""
     if rec.deletions is None:
-        rec.deletions = _classes(rec.graph, [1 << v for v in _reps(rec)])
+        rec.deletions = _punches(rec.graph, [1 << v for v in _reps(rec)])
     return rec.deletions
 
 
 def _edge_punches(rec: _Class) -> tuple:
-    """The distinct classes of g minus N(x) | N(y) over the edges xy of g.
+    """The distinct graphs g minus N(x) | N(y) over the edges xy of g.
     Name each orbit by its least vertex.  Given an edge, let x be the end
     whose orbit has the smaller name: an automorphism carrying x to that
     name carries the edge onto one from a name to a vertex whose orbit's
@@ -562,7 +593,7 @@ def _edge_punches(rec: _Class) -> tuple:
     if rec.edge_punches is None:
         adj = rec.graph.adj
         orbit = _orbit(rec)
-        rec.edge_punches = _classes(
+        rec.edge_punches = _punches(
             rec.graph, [adj[x] | adj[y] for x in _reps(rec) for y in bits(adj[x]) if orbit[y] >= x]
         )
     return rec.edge_punches
@@ -574,6 +605,17 @@ def _pure(rec: _Class) -> bool:
     return rec.pure
 
 
+def _alpha(rec: _Class) -> int:
+    if rec.alpha is None:
+        rec.alpha = independence_number(rec.graph)
+    return rec.alpha
+
+
+def _punch_cm(punch: tuple, alpha: int, char: int) -> bool:
+    """A punch, given as its parts, is CM with independence number alpha."""
+    return sum(map(_alpha, punch)) == alpha and all(_reisner(p, char) for p in punch)
+
+
 def _betti(rec: _Class, char: int) -> tuple:
     out = rec.betti.get(char)
     if out is None:
@@ -583,8 +625,17 @@ def _betti(rec: _Class, char: int) -> tuple:
 
 
 def graph_betti(g: Graph, char: int) -> tuple:
-    """Reduced Betti numbers of Delta(g), indexed by face cardinality."""
-    return _betti(_class_of(g), char)
+    """Reduced Betti numbers of Delta(g), indexed by face cardinality: the
+    convolution of its components' numbers, starting from {emptyset}'s."""
+    out = (1,)
+    for p in _parts(g):
+        b = _betti(p, char)
+        join = [0] * (len(out) + len(b) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(b):
+                join[i + j] += x * y
+        out = tuple(join)
+    return out
 
 
 def _reisner(rec: _Class, char: int) -> bool:
@@ -618,7 +669,8 @@ def _gorenstein_star(rec: _Class, char: int) -> bool:
 
 
 def is_cm_graph(g: Graph, field) -> bool:
-    return _reisner(_class_of(g), _char(field))
+    char = _char(field)
+    return all(_reisner(p, char) for p in _parts(g))
 
 
 def is_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
@@ -649,36 +701,39 @@ def is_doubly_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
 
 def is_doubly_cm_graph(g: Graph, field) -> bool:
     """CM, and so is g minus v with the same independence number, for
-    every vertex v.  The classes of g minus v stay on g's class record, so
-    only the first field builds them."""
+    every vertex v.  Deleting v leaves the other components whole, so g is
+    doubly CM iff every component is.  The graphs g minus v stay on the
+    component's record, so only the first field builds them."""
     char = _char(field)
-    rec = _class_of(g)
-    if not _reisner(rec, char):
-        return False
-    a = independence_number(g)
-    return all(independence_number(d.graph) == a and _reisner(d, char) for d in _deletions(rec))
+    return all(
+        _reisner(p, char) and all(_punch_cm(d, _alpha(p), char) for d in _deletions(p))
+        for p in _parts(g)
+    )
 
 
 def edge_punches_cm(g: Graph, field) -> bool:
     """Punching any edge xy of g (deleting N(x) | N(y)) leaves a CM graph
     with independence number alpha(g) - 1; the empty graph counts as CM
-    with alpha 0.  The punched classes stay on g's class record, so only
-    the first field builds them."""
+    with alpha 0.  Punching an edge of one component leaves the others
+    whole, so each punch is one of the component's punches plus the other
+    components.  The punched graphs stay on the component's record, so
+    only the first field builds them."""
     char = _char(field)
-    a = independence_number(g)
+    parts = _parts(g)
+    a = sum(map(_alpha, parts))
     return all(
-        independence_number(p.graph) == a - 1 and _reisner(p, char)
-        for p in _edge_punches(_class_of(g))
+        _punch_cm(e + parts[:i] + parts[i + 1:], a - 1, char)
+        for i, p in enumerate(parts)
+        for e in _edge_punches(p)
     )
 
 
 def is_gorenstein_graph(g: Graph, field) -> bool:
     """Gorenstein over the field, via the Stanley criterion on the core of
     Delta(g).  The cone points of Delta(g) are exactly the isolated
-    vertices of g, so the core is the independence complex of g minus its
-    isolated vertices; the empty graph's complex {emptyset} is Gorenstein,
-    which makes K1 and K2 come out Gorenstein as they should."""
+    vertices of g, so the core is the join of the other components'
+    complexes, and a join is Gorenstein* iff each factor is.  The empty
+    graph's complex {emptyset} is Gorenstein, which makes K1 and K2 come
+    out Gorenstein as they should."""
     char = _char(field)
-    if not all(g.adj):
-        g = g.keep_mask(sum(1 << v for v, row in enumerate(g.adj) if row))
-    return _gorenstein_star(_class_of(g), char)
+    return all(_gorenstein_star(p, char) for p in _parts(g) if p.graph.n > 1)

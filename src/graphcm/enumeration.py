@@ -73,12 +73,12 @@ from dataclasses import dataclass
 
 from . import recognition
 from .canon import automorphisms, is_isomorphic
-from .complexes import DEFAULT_FIELDS, FieldSpec, _char, is_cm_graph, is_gorenstein_graph
+from .complexes import DEFAULT_FIELDS, FieldSpec, _char, _parts, _pure, is_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .families import gen_G
 from .graph import Graph, GraphInputError, UnsupportedSizeError, bits
 from .graphio import from_graph6, read_graph6_file, to_graph6
-from .independence import is_w2, is_well_covered
+from .independence import is_w2
 from .planarity import is_planar
 from .recognition import (
     is_block_cactus,
@@ -408,14 +408,17 @@ def _pred_t3(g, chars):
     return cm == t3_partition_condition(g) == t3_simplicial_condition(g)
 
 
+def _wc_vd(g) -> bool:
+    # well-coveredness read off the class records, which the CM test reads too
+    return all(map(_pure, _parts(g))) and is_vertex_decomposable(g)[0]
+
+
 def _pred_cor2(g, chars):
-    wc_vd = is_well_covered(g) and is_vertex_decomposable(g)[0]
-    return wc_vd == _cm_all_fields(g, chars) == (recognize_sqc(g) is not None)
+    return _wc_vd(g) == _cm_all_fields(g, chars) == (recognize_sqc(g) is not None)
 
 
 def _pred_cor3(g, chars):
-    wc_vd = is_well_covered(g) and is_vertex_decomposable(g)[0]
-    return wc_vd == _cm_all_fields(g, chars) == recognition.cactus_cm_condition(g)
+    return _wc_vd(g) == _cm_all_fields(g, chars) == recognition.cactus_cm_condition(g)
 
 
 def _pred_t4(g, chars):

@@ -248,21 +248,19 @@ class Graph:
     # -- connectivity ------------------------------------------------------
 
     def component_masks(self) -> list:
-        seen = 0
+        """The components as vertex masks, in order of their least vertex."""
+        adj = self.adj
         comps = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = 1 << s
-            while frontier:
-                nxt = 0
-                for u in bits(frontier):
-                    nxt |= self.adj[u]
-                frontier = nxt & ~comp
-                comp |= frontier
+        left = self.full_mask
+        while left:
+            comp = frontier = left & -left
+            while frontier:  # one vertex at a time: no generator on this hot path
+                b = frontier & -frontier
+                new = adj[b.bit_length() - 1] & ~comp
+                comp |= new
+                frontier = (frontier ^ b) | new
             comps.append(comp)
-            seen |= comp
+            left &= ~comp
         return comps
 
     def is_connected(self) -> bool:

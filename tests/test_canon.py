@@ -337,3 +337,20 @@ def test_a_reset_searches_again(monkeypatch):
     complexes.clear_caches()
     assert canonical_form(g) == form
     assert searched == {g.adj: 2}
+
+
+def test_a_search_leaves_no_reference_cycle():
+    # the search's working state is freed by reference counting, so a run
+    # that searches often does not wait on the cyclic collector
+    import gc
+
+    from graphcm import canon
+
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            canon._search(cycle_graph(8))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

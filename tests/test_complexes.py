@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from graphcm.complexes import (
     cone_points,
     core,
     delete,
+    edge_punches_cm,
     graph_betti,
     independence_complex,
     is_cm,
@@ -452,20 +454,34 @@ def test_vertex_transitive_graphs_punch_once(monkeypatch):
 def test_orbit_representatives_meet_every_punch(g):
     import networkx as nx
 
+    def union(recs):
+        return functools.reduce(nx.disjoint_union, (to_nx(r.graph) for r in recs), nx.Graph())
+
     complexes.clear_caches()
-    rec = complexes._class_of(g)
-    assert rec.graph is g
-    full = g.full_mask
+    parts = complexes._parts(g)
+    assert len(parts) == len(g.component_masks())
+    for rec in parts:
+        h = rec.graph
+        full = h.full_mask
 
-    def meets(removed, table):
-        kept = to_nx(g.keep_mask(full & ~removed))
-        return any(nx.is_isomorphic(kept, to_nx(c.graph)) for c in table)
+        def punched(removed):
+            return h.keep_mask(full & ~removed)
 
-    for v in range(g.n):
-        assert meets(g.adj[v] | 1 << v, complexes._children(rec)), v
-        assert meets(1 << v, complexes._deletions(rec)), v
-    for u, v in g.edges():
-        assert meets(g.adj[u] | g.adj[v], complexes._edge_punches(rec)), (u, v)
+        def meets(removed, punches):
+            # the punch is one of the stored tuples of parts, as a whole
+            return any(nx.is_isomorphic(to_nx(punched(removed)), union(p)) for p in punches)
+
+        for v in range(h.n):
+            kept = punched(h.adj[v] | 1 << v)
+            for comp in kept.component_masks():
+                assert any(nx.is_isomorphic(to_nx(kept.keep_mask(comp)), to_nx(c.graph))
+                           for c in complexes._children(rec)), v
+            assert meets(1 << v, complexes._deletions(rec)), v
+        for u, v in itertools.combinations(range(h.n), 2):
+            if h.adj[u] >> v & 1:
+                assert meets(h.adj[u] | h.adj[v], complexes._edge_punches(rec)), (u, v)
+    # the table holds connected graphs only
+    assert all(r.graph.n and r.graph.is_connected() for r in complexes._PROFILE_CACHE.values())
 
 
 def test_second_field_doubly_cm_needs_no_search(monkeypatch):
@@ -502,3 +518,82 @@ def test_doubly_and_square_cm_match_all_vertex_oracles_on_atlas():
                     for h in (g.punch_edge(u, v) for u, v in g.edges())
                 )
                 assert square_cm_criterion(g, char) == want, (g, char)
+
+
+# -- components first: a disconnected graph is read off its components ----------
+
+
+def _check_against_face_oracles(g, chars=(0, 2, 3)):
+    from graphcm.recognition import square_cm_criterion
+
+    def alpha(delta):
+        return delta.dim + 1
+
+    bare = independence_complex(g)
+    a = alpha(bare)
+    for char in chars:
+        field = FieldSpec(char)
+        assert graph_betti(g, char) == betti_profile(bare, field).betti, (g, char)
+        assert is_cm_graph(g, char) == is_cm(bare, field), (g, char)
+        assert is_gorenstein_graph(g, field) == _gorenstein_oracle(g, char), (g, char)
+        assert is_doubly_cm_graph(g, char) == is_doubly_cm(bare, field), (g, char)
+        punches_cm = all(
+            alpha(d) == a - 1 and is_cm(d, field)
+            for d in (independence_complex(g.punch_edge(u, v)) for u, v in g.edges())
+        )
+        assert edge_punches_cm(g, char) == punches_cm, (g, char)
+        if g.girth() >= 4:
+            assert square_cm_criterion(g, char) == (is_cm(bare, field) and punches_cm), (g, char)
+
+
+@st.composite
+def _shuffled_unions(draw):
+    """The disjoint union of two graphs on at most 6 vertices each, 9 in
+    all (the face-level oracles grow like 2^n), with its vertices
+    interleaved so that components are not runs of indices."""
+    from graphcm.graph import disjoint_union
+
+    g = draw(graphs(max_n=6))
+    h = draw(graphs(max_n=min(6, 9 - g.n)))
+    u = disjoint_union(g, h)
+    order = draw(st.permutations(u.labels))
+    return Graph.from_edges(order, u.edges())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shuffled_unions())
+def test_disjoint_unions_match_face_level_oracles(g):
+    complexes.clear_caches()
+    _check_against_face_oracles(g)
+
+
+def test_unions_with_k0_k1_and_torsion_match_face_level_oracles():
+    from graphcm.graph import disjoint_union
+
+    k0, k1, k2 = Graph.empty(0), complete_graph(1), complete_graph(2)
+    complexes.clear_caches()
+    for g in (k0, k1, path_graph(3), cycle_graph(5), gen_G(3)):
+        for extra in (k0, k1):
+            u = disjoint_union(g, extra)
+            _check_against_face_oracles(u)
+            faces = [frozenset(u.index(v) for v in f) for f in independence_complex(u).faces()]
+            for char in (0, 2, 3):
+                assert graph_betti(u, char) == brute_reduced_betti(faces, char)
+    # Delta(sd(RP^2) + K2) is the suspension of sd(RP^2), so its GF(2)
+    # torsion class sits one dimension higher
+    u = disjoint_union(_sd_rp2_graph(), k2)
+    _check_against_face_oracles(u)
+    assert graph_betti(u, 2) == (0, 0, 0, 1, 1) and graph_betti(u, 3) == (0,) * 5
+
+
+def test_disconnected_graphs_are_never_searched(monkeypatch):
+    from graphcm import canon
+    from graphcm.recognition import classify
+
+    searched = []
+    search = canon._search
+    monkeypatch.setattr(canon, "_search", lambda g: searched.append(g) or search(g))
+    complexes.clear_caches()
+    classify(gen_G(4), fields=(0, 2))
+    assert searched and all(g.is_connected() for g in searched)
+    assert all(rec.graph.is_connected() for rec in complexes._PROFILE_CACHE.values())
