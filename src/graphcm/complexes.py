@@ -35,12 +35,40 @@ classes of the components of G minus N[v] over the vertices v, found once
 and then followed by reference; the graphs G minus v and the edge punches,
 each as the tuple of its components' classes, for doubly-CM and the square
 criterion; its purity (well-coveredness); its independence number; its
-vertex-decomposability verdict (``decomposability``); and per
-characteristic its Betti numbers, its Reisner verdict and its Stanley
+W2 verdict; its vertex-decomposability verdict (``decomposability``); and
+per characteristic its Betti numbers, its Reisner verdict and its Stanley
 verdict.  A second field, the other engine or another entry point on a
 class already met computes no canonical form again.  Both engines test
 purity before any homology: Gorenstein* implies Cohen-Macaulay, which
 implies pure, and purity needs only the maximal independent sets.
+
+Doubly CM is decided cheapest test first: Reisner, then Gorenstein*, then
+W2, and only then the graphs g minus v.  Two implications make this exact.
+* Gorenstein* implies doubly CM (Baclawski, "Cohen-Macaulay connectivity
+  and geometric lattices", Europ. J. Combin. 3, 1982).  Take a vertex v
+  and a face F not containing v, and let L = lk F, of dimension e; the
+  link of F in Delta minus v is L minus v, or L itself when v is not in
+  L.  L and lk_L v are homology spheres of dimensions e and e - 1.
+  Mayer-Vietoris for L = (L minus v) u st_L v, whose pieces meet in
+  lk_L v, with the star a cone, gives H~_i(L minus v) = 0 for i < e - 1
+  and the exact sequence 0 -> H~_e(L minus v) -> H~_e(L) -> H~_{e-1}(lk_L v)
+  -> H~_{e-1}(L minus v) -> 0.  The fundamental cycle z of L has every
+  e-face in its support, so the connecting map sends it to the boundary
+  of z's part on the star of v, sum of c_t * t over the facets t of
+  lk_L v with every c_t non-zero: a non-zero cycle of a complex of
+  dimension e - 1, so a non-zero class.  The connecting map is onto, hence
+  an isomorphism of one-dimensional spaces, and L minus v is acyclic.  It
+  keeps dimension e, since a complex whose facets all contain v is a cone,
+  not a sphere.  So every link of Delta minus v vanishes below its
+  dimension, and Delta minus v (F empty) has the dimension of Delta.
+* Doubly CM implies W2.  G is well-covered, since CM complexes are pure,
+  and Delta(G minus v) = Delta(G) minus v is CM of the dimension of
+  Delta(G), so G minus v is well-covered with alpha(G minus v) = alpha(G),
+  which on the well-covered G means v sheds (see ``independence``).
+W2 (``_w2``) is kept once per class and tested at one vertex per orbit,
+since shedding is invariant under automorphisms; ``recognition.classify``
+reads alpha, well-coveredness and W2 off the records too, so one
+enumeration of a class's maximal independent sets serves all three.
 
 Components come first: a disconnected graph is never searched or
 face-enumerated, and every entry point reads it off its components'
@@ -77,7 +105,7 @@ from dataclasses import dataclass, field as dc_field
 from . import canon, linalg
 from .canon import automorphisms, canonical_form
 from .graph import Graph, GraphInputError, bits
-from .independence import _mis_masks, independence_number, is_well_covered
+from .independence import _is_shedding, _mis_masks, independence_number, is_well_covered
 
 
 # Miller-Rabin with the prime bases 2..41 is exact below this bound; bases
@@ -478,11 +506,14 @@ class _Class:
     of its graphs minus N[v]; ``deletions`` and ``edge_punches`` are its
     distinct graphs minus v and minus N(x) | N(y) for an edge xy, each as
     the tuple of its components' classes, since alpha sums over them with
-    multiplicity; ``pure`` is well-coveredness; ``alpha`` the independence
-    number; ``shed`` is the canonical position of the shedding vertex the
-    vertex-decomposability search chose, or -1 (``decomposability``);
-    ``betti``, ``cm`` and ``gor`` map a characteristic to the reduced Betti
-    numbers, the Reisner verdict and the Gorenstein* verdict."""
+    multiplicity; ``deletions`` is built only for W2 classes that are not
+    Gorenstein*, the only ones whose doubly-CM verdict needs them;
+    ``pure`` is well-coveredness; ``alpha`` the independence number; ``w2``
+    the W2 verdict; ``shed`` is the canonical position of the shedding
+    vertex the vertex-decomposability search chose, or -1
+    (``decomposability``); ``betti``, ``cm`` and ``gor`` map a
+    characteristic to the reduced Betti numbers, the Reisner verdict and
+    the Gorenstein* verdict."""
 
     graph: Graph
     orbit: bytes | None = None
@@ -491,6 +522,7 @@ class _Class:
     edge_punches: tuple | None = None
     pure: bool | None = None
     alpha: int | None = None
+    w2: bool | None = None
     shed: int | None = None
     betti: dict = dc_field(default_factory=dict)
     cm: dict = dc_field(default_factory=dict)
@@ -611,6 +643,15 @@ def _alpha(rec: _Class) -> int:
     return rec.alpha
 
 
+def _w2(rec: _Class) -> bool:
+    """Well-covered with every vertex shedding, tested at one vertex per
+    orbit: an automorphism carrying v to w carries the maximal independent
+    sets of g minus v onto those of g minus w, and N(v) onto N(w)."""
+    if rec.w2 is None:
+        rec.w2 = _pure(rec) and all(_is_shedding(rec.graph, v) for v in _reps(rec))
+    return rec.w2
+
+
 def _punch_cm(punch: tuple, alpha: int, char: int) -> bool:
     """A punch, given as its parts, is CM with independence number alpha."""
     return sum(map(_alpha, punch)) == alpha and all(_reisner(p, char) for p in punch)
@@ -699,16 +740,25 @@ def is_doubly_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
     return True
 
 
+def _doubly_cm(rec: _Class, char: int) -> bool:
+    """Cheapest test first: Reisner; then Gorenstein*, which implies doubly
+    CM and after Reisner reads only Betti numbers already on the records;
+    then W2, which doubly CM implies; and only then the graphs g minus v
+    (see the module docstring for both implications)."""
+    return _reisner(rec, char) and (
+        _gorenstein_star(rec, char)
+        or _w2(rec) and all(_punch_cm(d, _alpha(rec), char) for d in _deletions(rec))
+    )
+
+
 def is_doubly_cm_graph(g: Graph, field) -> bool:
     """CM, and so is g minus v with the same independence number, for
     every vertex v.  Deleting v leaves the other components whole, so g is
     doubly CM iff every component is.  The graphs g minus v stay on the
-    component's record, so only the first field builds them."""
+    component's record, so only the first field builds them, and only for
+    W2 components that are not Gorenstein*."""
     char = _char(field)
-    return all(
-        _reisner(p, char) and all(_punch_cm(d, _alpha(p), char) for d in _deletions(p))
-        for p in _parts(g)
-    )
+    return all(_doubly_cm(p, char) for p in _parts(g))
 
 
 def edge_punches_cm(g: Graph, field) -> bool:

@@ -13,7 +13,12 @@ one of two kinds: if S meets N(v) it is maximal in G too, and if it misses
 N(v) then S + v is.  On a well-covered G the first kind has alpha(G)
 vertices and the second alpha(G) - 1.  So G minus v is well-covered with
 alpha(G minus v) = alpha(G) iff v is shedding, and G is W2 iff it is
-well-covered and every vertex sheds.
+well-covered and every vertex sheds.  A doubly Cohen-Macaulay graph has
+both properties for every v, so it is W2.  The class records of
+``complexes`` keep the W2 verdict, tested at one vertex per automorphism
+orbit, for the doubly-CM test and for ``recognition.classify``; ``is_w2``
+here tests every vertex of the graph it is given, independently of any
+record or homology.
 """
 
 from __future__ import annotations

@@ -45,10 +45,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dc_fields
 
-from .complexes import DEFAULT_FIELDS, FieldSpec, _char, edge_punches_cm, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph
+from .complexes import (
+    DEFAULT_FIELDS,
+    FieldSpec,
+    _alpha,
+    _char,
+    _parts,
+    _pure,
+    _w2,
+    edge_punches_cm,
+    is_cm_graph,
+    is_doubly_cm_graph,
+    is_gorenstein_graph,
+)
 from .decomposability import is_vertex_decomposable
 from .graph import Graph, INFINITY, PreconditionError, bits
-from .independence import independence_number, is_w2, is_well_covered
+from .independence import independence_number, is_well_covered
 from .planarity import is_planar
 
 # -- pieces on vertex indices ------------------------------------------------------
@@ -495,15 +507,19 @@ def _word(value):
 
 
 def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
+    """alpha, well-coveredness and W2 are read off the records of g's
+    components (``complexes``): alpha adds up over a disjoint union, and
+    both properties hold iff they hold on every component."""
     chars = [_char(f) for f in fields]
-    triangle_free = g.girth() >= 4
+    girth = g.girth()
+    parts = _parts(g)
     return ClassificationReport(
         n=g.n,
         m=g.m,
-        girth=g.girth(),
-        alpha=independence_number(g),
-        well_covered=is_well_covered(g),
-        w2=is_w2(g),
+        girth=girth,
+        alpha=sum(map(_alpha, parts)),
+        well_covered=all(map(_pure, parts)),
+        w2=all(map(_w2, parts)),
         vertex_decomposable=is_vertex_decomposable(g)[0],
         cm={c: is_cm_graph(g, c) for c in chars},
         gorenstein={c: is_gorenstein_graph(g, FieldSpec(c)) for c in chars},
@@ -515,6 +531,6 @@ def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
         t3_condition=t3_partition_condition(g),
         block_cactus=is_block_cactus(g),
         cactus=is_cactus(g),
-        square_cm={c: (square_cm_criterion(g, c) if triangle_free else None) for c in chars},
+        square_cm={c: (square_cm_criterion(g, c) if girth >= 4 else None) for c in chars},
         planar=is_planar(g),
     )

@@ -63,6 +63,10 @@ def test_check_exit_codes(capsys):
     k3 = to_graph6(from_edge_list("3\n0 1\n1 2\n0 2\n"))
     code, _, err = run(capsys, "check", "square-cm", "--g6", k3)
     assert code == 2
+    # W2 and CM but not Gorenstein, so the graphs g minus v decide
+    for g6, want in (("Fqh~O", 1), ("Bw", 0)):
+        code, _, _ = run(capsys, "check", "doubly-cm", "--fields", "0,2,3", "--g6", g6)
+        assert code == want, g6
 
 
 _LIBRARY = {

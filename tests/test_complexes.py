@@ -283,7 +283,9 @@ def test_implication_chain_small(small_connected):
             if is_gorenstein_graph(g, field):
                 assert cm
             if is_doubly_cm_graph(g, field.characteristic):
-                assert cm
+                assert cm and is_w2(g)
+            if is_gorenstein_graph(g, field) and not g.isolated_vertices():
+                assert is_doubly_cm_graph(g, field.characteristic)
         if all(is_gorenstein_graph(g, f) for f in DEFAULT_FIELDS) and not g.isolated_vertices():
             assert is_w2(g)
 
@@ -485,7 +487,8 @@ def test_orbit_representatives_meet_every_punch(g):
 
 
 def test_second_field_doubly_cm_needs_no_search(monkeypatch):
-    from graphcm import canon
+    from graphcm import canon, independence
+    from graphcm.families import gen_H
     from graphcm.recognition import square_cm_criterion
 
     complexes.clear_caches()
@@ -494,6 +497,52 @@ def test_second_field_doubly_cm_needs_no_search(monkeypatch):
     searches = _count_calls(monkeypatch, canon, "_search")
     assert is_doubly_cm_graph(g, 2) and square_cm_criterion(g, 2)
     assert searches == []
+    # H4 is CM but not W2: the second field reads the W2 verdict off the record
+    h = gen_H(4)
+    assert is_cm_graph(h, 0) and not is_doubly_cm_graph(h, 0)
+    searches.clear()
+    enumerations = _count_calls(monkeypatch, independence, "_mis_masks")
+    faces = _count_calls(monkeypatch, complexes, "_independent_masks_by_card")
+    assert not is_doubly_cm_graph(h, 2)
+    assert searches == [] and enumerations == [] and faces == []
+
+
+def _doubly_cm_cases():
+    """(name, graph, whether the graphs g minus v decide, verdict) for each
+    way out of _doubly_cm."""
+    from graphcm.families import gen_H
+    from graphcm.graphio import from_graph6
+
+    return (
+        # Gorenstein*: doubly CM (Baclawski)
+        [(f"G{k}", gen_G(k), False, True) for k in range(1, 5)]
+        + [("C5", cycle_graph(5), False, True)]
+        # CM but not W2: not doubly CM
+        + [(f"H{k}", gen_H(k), False, False) for k in range(1, 5)]
+        # not even CM: out at Reisner
+        + [("P3", path_graph(3), False, False)]
+        # W2 and CM but not Gorenstein*: the deletions decide.  Fqh~O and
+        # GqjR~W are the smallest connected such graphs that are not doubly CM
+        + [("Fqh~O", from_graph6("Fqh~O"), True, False), ("GqjR~W", from_graph6("GqjR~W"), True, False)]
+        + [("K3", complete_graph(3), True, True), ("K4", complete_graph(4), True, True)]
+    )
+
+
+def test_doubly_cm_branches_match_the_face_level_oracle(monkeypatch):
+    built = _count_calls(monkeypatch, complexes, "_deletions")
+    for name, g, needs_deletions, want in _doubly_cm_cases():
+        complexes.clear_caches()
+        built.clear()
+        bare = independence_complex(g)
+        for char in (0, 2, 3):
+            field = FieldSpec(char)
+            assert is_doubly_cm(bare, field) == want, (name, char)
+            assert is_doubly_cm_graph(g, char) == want, (name, char)
+            gorenstein_star = _gorenstein_oracle(g, char) and not g.isolated_vertices()
+            assert gorenstein_star == (want and not needs_deletions), (name, char)
+            if is_cm(bare, field) and not gorenstein_star:
+                assert is_w2(g) == needs_deletions, (name, char)
+        assert bool(built) == needs_deletions, name
 
 
 def test_doubly_and_square_cm_match_all_vertex_oracles_on_atlas():
@@ -597,3 +646,31 @@ def test_disconnected_graphs_are_never_searched(monkeypatch):
     classify(gen_G(4), fields=(0, 2))
     assert searched and all(g.is_connected() for g in searched)
     assert all(rec.graph.is_connected() for rec in complexes._PROFILE_CACHE.values())
+
+
+def test_classify_of_the_families_builds_no_deletions(monkeypatch):
+    # G4 is Gorenstein* and H4 is not W2, so neither needs the graphs g minus v
+    from graphcm.families import gen_H
+    from graphcm.recognition import classify
+
+    built = _count_calls(monkeypatch, complexes, "_deletions")
+    for g, doubly_cm in ((gen_G(4), True), (gen_H(4), False)):
+        complexes.clear_caches()
+        report = classify(g, fields=(0, 2))
+        assert report.cm == {0: True, 2: True} and report.doubly_cm == {0: doubly_cm, 2: doubly_cm}
+    assert built == []
+
+
+def test_classify_enumerates_the_maximal_independent_sets_once(monkeypatch):
+    # one enumeration on the record serves the report, purity and the doubly-CM rule
+    from graphcm import independence
+    from graphcm.recognition import classify
+
+    seen = []
+    enumerate_mis = independence._mis_masks
+    monkeypatch.setattr(independence, "_mis_masks", lambda g: seen.append(g.adj) or enumerate_mis(g))
+    complexes.clear_caches()
+    g = gen_G(5)
+    report = classify(g)
+    assert report.w2 and report.well_covered and report.alpha == 5
+    assert seen.count(g.adj) == 1
