@@ -139,6 +139,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _char(field) -> int:
+    """A FieldSpec's characteristic, or an int checked as FieldSpec checks
+    its own; every homology entry point takes its field through this."""
+    if isinstance(field, FieldSpec):
+        return field.characteristic
+    if field >= _MR_LIMIT:
+        raise GraphInputError(f"field characteristic {field} is too large to certify as prime")
+    if field != 0 and not _is_prime(field):
+        raise GraphInputError(f"field characteristic must be 0 or a prime, got {field}")
+    return field
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A coefficient field, identified by its characteristic (0 or a prime)."""
@@ -146,11 +158,7 @@ class FieldSpec:
     characteristic: int = 0
 
     def __post_init__(self):
-        c = self.characteristic
-        if c >= _MR_LIMIT:
-            raise GraphInputError(f"field characteristic {c} is too large to certify as prime")
-        if c != 0 and not _is_prime(c):
-            raise GraphInputError(f"field characteristic must be 0 or a prime, got {c}")
+        _char(self.characteristic)
 
     def __str__(self):
         return f"char{self.characteristic}"
@@ -486,10 +494,10 @@ def _profile_from_cards(faces_by_card, char: int) -> tuple:
     return _profiles(faces_by_card, char)[char]
 
 
-def betti_profile(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
+def betti_profile(delta: SimplicialComplex, field) -> HomologyProfile:
     """Exact reduced homology ranks of the complex over the given field,
     empty face included (so {emptyset} has a single 1 in dimension -1)."""
-    char = field.characteristic
+    char = _char(field)
     return HomologyProfile(char, _profile_from_cards(_faces_by_card_from_complex(delta), char))
 
 
@@ -509,8 +517,8 @@ class _Class:
     multiplicity; ``deletions`` is built only for W2 classes that are not
     Gorenstein*, the only ones whose doubly-CM verdict needs them;
     ``pure`` is well-coveredness; ``alpha`` the independence number; ``w2``
-    the W2 verdict; ``shed`` is the canonical position of the shedding
-    vertex the vertex-decomposability search chose, or -1
+    the W2 verdict; ``shed`` the canonical position in ``graph`` of the
+    shedding vertex the vertex-decomposability search chose, or -1
     (``decomposability``); ``betti``, ``cm`` and ``gor`` map a
     characteristic to the reduced Betti numbers, the Reisner verdict and
     the Gorenstein* verdict."""
@@ -538,10 +546,6 @@ def clear_caches():
     """Empty the class table and the canonical searches it was keyed by."""
     _PROFILE_CACHE.clear()
     canon._KEPT.clear()
-
-
-def _char(field) -> int:
-    return field.characteristic if isinstance(field, FieldSpec) else int(field)
 
 
 def _orbits(n: int, autos) -> bytes:
@@ -665,9 +669,10 @@ def _betti(rec: _Class, char: int) -> tuple:
     return out
 
 
-def graph_betti(g: Graph, char: int) -> tuple:
+def graph_betti(g: Graph, field) -> tuple:
     """Reduced Betti numbers of Delta(g), indexed by face cardinality: the
     convolution of its components' numbers, starting from {emptyset}'s."""
+    char = _char(field)
     out = (1,)
     for p in _parts(g):
         b = _betti(p, char)
@@ -714,13 +719,13 @@ def is_cm_graph(g: Graph, field) -> bool:
     return all(_reisner(p, char) for p in _parts(g))
 
 
-def is_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
+def is_cm(delta: SimplicialComplex, field) -> bool:
     """Reisner criterion, one link per face."""
+    char = _char(field)
     if delta.is_void():
         return True
     if not delta.is_pure():
         return False
-    char = field.characteristic
     for f in delta.faces():
         lk = link(delta, f)
         betti = _profile_from_cards(_faces_by_card_from_complex(lk), char)
@@ -729,7 +734,7 @@ def is_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
     return True
 
 
-def is_doubly_cm(delta: SimplicialComplex, field: FieldSpec) -> bool:
+def is_doubly_cm(delta: SimplicialComplex, field) -> bool:
     if not is_cm(delta, field):
         return False
     d = delta.dim

@@ -1,20 +1,23 @@
 """Vertex decomposability of independence complexes, decided at graph level.
 
-Delta(G) is vertex decomposable iff G is edgeless, or some vertex v is a
-shedding vertex (no maximal independent set of G minus v avoids N(v)) with
-both G minus v and G minus N[v] vertex decomposable.  The search runs over
-all vertices, so a negative answer is a genuine negative, and it splits
-into connected components first since a graph is vertex decomposable
-exactly when all its components are.
+Delta(G) is vertex decomposable iff G is edgeless, or some vertex v is
+shedding (no maximal independent set of G minus v avoids N(v); Woodroofe,
+Proc. AMS 2009) with G minus v and G minus N[v] vertex decomposable.  G
+is so iff its components are, and an isolated vertex is a simplex, so the
+search runs on the class records of the components with an edge
+(``complexes._parts``), as the Reisner recursion does.  It tries one
+vertex per automorphism orbit, by descending degree: an automorphism
+carrying v to w carries the shedding condition, G minus v and G minus
+N[v] along, so the verdict is that of a search over every vertex.  A
+record whose W2 verdict is already true sheds at every vertex (see
+``independence``), so there the shedding test is skipped.
 
-Verdicts live on the table of isomorphism classes the link recursions use
-(``complexes._PROFILE_CACHE``): a class record's ``shed`` is the canonical
-position of the shedding vertex its search chose, or -1.  Positions
-survive relabeling, since isomorphic graphs place corresponding vertices at
-equal canonical positions.  One walk (``_walk``) follows positions through
-components, G minus v and G minus N[v], and checks at each step that the
-vertex sheds.  Fed from the table it writes a certificate; fed from a
-certificate it replays one.
+A record's ``shed`` is the canonical position in its graph of the shedding
+vertex its search chose, or -1.  Positions survive relabeling: isomorphic
+graphs place corresponding vertices at equal canonical positions.  One
+walk (``_walk``) follows positions through components, G minus v and G
+minus N[v], and checks at each step that the vertex sheds.  Fed from the
+table it writes a certificate; fed from a certificate it replays one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_order
-from .complexes import _PROFILE_CACHE, _class_of, clear_caches
+from .complexes import _PROFILE_CACHE, _parts, _reps, clear_caches
 from .graph import Graph
 from .graphio import to_graph6
 from .independence import _is_shedding
@@ -66,13 +69,10 @@ class SheddingCertificate:
 
 
 def is_vertex_decomposable(g: Graph, want_certificate: bool = False):
-    """Decide vertex decomposability; optionally return a certificate.
-
-    Returns (verdict, SheddingCertificate or None).  Shedding candidates
-    are tried by descending degree with label-order ties, which only
-    affects which certificate is found, never the verdict.
-    """
-    ok = _vd(g)
+    """Decide vertex decomposability: (verdict, SheddingCertificate or
+    None).  The order candidates are tried in picks the certificate, never
+    the verdict."""
+    ok = _vd_parts(g)
     cert = None
     if ok and want_certificate:
         steps = {}
@@ -81,23 +81,18 @@ def is_vertex_decomposable(g: Graph, want_certificate: bool = False):
     return ok, cert
 
 
-def _vd(g: Graph) -> bool:
-    if g.is_edgeless():
-        return True
-    comps = g.component_masks()
-    if len(comps) > 1:
-        # every component is searched, even after a failure: which copy of
-        # a class is searched first fixes its shedding position
-        return all([_vd(g.keep_mask(mask)) for mask in comps])
-    rec = _class_of(g)
+def _vd_parts(g: Graph) -> bool:
+    return all(_vd(p) for p in _parts(g) if p.graph.n > 1)
+
+
+def _vd(rec) -> bool:
     if rec.shed is None:
         rec.shed = -1
-        full = g.full_mask
-        for i in sorted(range(g.n), key=lambda i: (-g.adj[i].bit_count(), str(g.labels[i]))):
-            if (
-                _is_shedding(g, i)
-                and _vd(g.keep_mask(full & ~(1 << i)))
-                and _vd(g.keep_mask(full & ~(g.adj[i] | 1 << i)))
+        g = rec.graph
+        for i in sorted(_reps(rec), key=lambda i: -g.adj[i].bit_count()):
+            # g minus v, then g minus N[v]
+            if (rec.w2 or _is_shedding(g, i)) and all(
+                _vd_parts(g.keep_mask(g.full_mask & ~mask)) for mask in (1 << i, g.adj[i] | 1 << i)
             ):
                 rec.shed = canonical_order(g).index(i)
                 break

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 from . import recognition
 from .canon import automorphisms, is_isomorphic
-from .complexes import DEFAULT_FIELDS, FieldSpec, _char, _parts, _pure, is_cm_graph, is_gorenstein_graph
+from .complexes import DEFAULT_FIELDS, _char, _parts, _pure, is_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .families import gen_G
 from .graph import Graph, GraphInputError, UnsupportedSizeError, bits
@@ -375,7 +375,7 @@ def _cm_all_fields(g: Graph, chars) -> bool:
 
 
 def _gorenstein_all_fields(g: Graph, chars) -> bool:
-    return all(is_gorenstein_graph(g, FieldSpec(c)) for c in chars)
+    return all(is_gorenstein_graph(g, c) for c in chars)
 
 
 def _is_family_member(g: Graph) -> bool:

@@ -47,7 +47,6 @@ from dataclasses import dataclass, fields as dc_fields
 
 from .complexes import (
     DEFAULT_FIELDS,
-    FieldSpec,
     _alpha,
     _char,
     _parts,
@@ -522,7 +521,7 @@ def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
         w2=all(map(_w2, parts)),
         vertex_decomposable=is_vertex_decomposable(g)[0],
         cm={c: is_cm_graph(g, c) for c in chars},
-        gorenstein={c: is_gorenstein_graph(g, FieldSpec(c)) for c in chars},
+        gorenstein={c: is_gorenstein_graph(g, c) for c in chars},
         doubly_cm={c: is_doubly_cm_graph(g, c) for c in chars},
         sqc=recognize_sqc(g),
         sc=recognize_sc(g),

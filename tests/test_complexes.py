@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,38 @@ def test_field_spec_validation():
         FieldSpec(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
     with pytest.raises(GraphInputError):
         FieldSpec(10**25 + 13)  # beyond the deterministic Miller-Rabin range
+
+
+def _entry_points(g):
+    """Every homology entry point, at the graph and at the complex level."""
+    from graphcm.recognition import square_cm_criterion
+
+    delta = independence_complex(g)
+    calls = [graph_betti, is_cm_graph, is_gorenstein_graph, is_doubly_cm_graph, edge_punches_cm, square_cm_criterion]
+    return [functools.partial(f, g) for f in calls] + [
+        lambda field: betti_profile(delta, field).betti,
+        functools.partial(is_cm, delta),
+        functools.partial(is_doubly_cm, delta),
+    ]
+
+
+@pytest.mark.parametrize("char", [1, 4, 9, -3, 10**25 + 13])
+def test_every_entry_point_rejects_what_field_spec_rejects(char):
+    with pytest.raises(GraphInputError):
+        FieldSpec(char)
+    for g in (cycle_graph(4), Graph.empty(0)):
+        for call in _entry_points(g):
+            with pytest.raises(GraphInputError):
+                call(char)
+
+
+def test_an_int_and_its_field_spec_agree_at_every_entry_point():
+    for g in (cycle_graph(4), cycle_graph(5), path_graph(3), complete_bipartite(2, 3), Graph.empty(0)):
+        for char in (0, 2, 3):
+            complexes.clear_caches()
+            by_int = [call(char) for call in _entry_points(g)]
+            complexes.clear_caches()
+            assert [call(FieldSpec(char)) for call in _entry_points(g)] == by_int, (g, char)
 
 
 def test_is_prime_matches_sieve():
@@ -674,3 +707,8 @@ def test_classify_enumerates_the_maximal_independent_sets_once(monkeypatch):
     report = classify(g)
     assert report.w2 and report.well_covered and report.alpha == 5
     assert seen.count(g.adj) == 1
+    # the vertex-decomposability search reads W2 off the record instead of
+    # enumerating each g minus v again; only K1 is met by both the shedding
+    # test and purity
+    repeated = [adj for adj, k in Counter(seen).items() if k > 1]
+    assert all(len(adj) < 2 for adj in repeated)

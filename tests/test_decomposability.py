@@ -1,9 +1,12 @@
+import itertools
+import random
 from dataclasses import replace
 
 from hypothesis import given, settings
 
 from conftest import graphs
 
+from graphcm import complexes, decomposability
 from graphcm.canon import canonical_order
 from graphcm.complexes import SimplicialComplex, clear_caches, independence_complex, link, delete, is_cm_graph, DEFAULT_FIELDS
 from graphcm.decomposability import is_shedding_vertex, is_vertex_decomposable, replay_certificate
@@ -141,3 +144,48 @@ def test_non_pure_vd_example():
     p3 = path_graph(3)
     assert is_vertex_decomposable(p3)[0]
     assert not is_cm_graph(p3, 0)
+
+
+# -- the search runs on the class records ------------------------------------------
+
+
+def _seeded_graphs(count, seed):
+    """K0, an edgeless graph, a union with an isolated vertex, then random
+    graphs on 1 to 12 vertices, sparse ones often disconnected."""
+    rng = random.Random(seed)
+    out = [Graph.empty(0), Graph.empty(2), disjoint_union(cycle_graph(5), Graph.empty(1))]
+    while len(out) < count:
+        n = rng.randint(1, 12)
+        p = rng.choice((0.15, 0.3, 0.5))
+        out.append(Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    return out
+
+
+def test_certificates_replay_after_classify_made_the_records():
+    # the CM engine keys each class first, so the search runs on its copies
+    from graphcm.recognition import classify
+
+    gs = _seeded_graphs(40, 2101)
+    assert any(len(g.component_masks()) > 1 for g in gs) and any(g.n > 1 and g.isolated_vertices() for g in gs)
+    for g in gs:
+        clear_caches()
+        cold = is_vertex_decomposable(g)[0]
+        clear_caches()
+        classify(g)
+        ok, cert = is_vertex_decomposable(g, want_certificate=True)
+        assert ok == cold, g
+        assert cert is None if not ok else replay_certificate(g, cert), g
+
+
+def test_cycle_search_tests_shedding_once_per_class(monkeypatch):
+    # C_n has one orbit, so its search tries one vertex; for n >= 6 it does
+    # not shed, and the search stops there
+    calls = []
+    shedding = decomposability._is_shedding
+    monkeypatch.setattr(decomposability, "_is_shedding", lambda g, i: calls.append(g.adj) or shedding(g, i))
+    for n in range(6, 11):
+        clear_caches()
+        calls.clear()
+        assert not is_vertex_decomposable(cycle_graph(n))[0]
+        visited = [rec for rec in complexes._PROFILE_CACHE.values() if rec.shed is not None]
+        assert len(calls) <= len(visited), n

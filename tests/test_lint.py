@@ -97,6 +97,12 @@ def test_no_dead_definitions(path):
     assert _dead_definitions(path.read_text(), _named_by_readers()) == []
 
 
+def test_only_complexes_keys_the_class_table():
+    # every other module reaches the records through complexes._parts, so
+    # a disconnected graph is never keyed
+    assert [p.name for p in MODULES if p.name != "complexes.py" and _names(ast.parse(p.read_text()))["_class_of"]] == []
+
+
 # -- every process-wide cache is emptied by the benchmark's reset ------------------
 
 
