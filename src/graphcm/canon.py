@@ -42,13 +42,15 @@ the canonical rows, so graphs with equal forms place corresponding vertices
 at equal canonical positions.
 
 ``automorphisms(g)`` returns the stored permutations: the twin
-transpositions and one permutation per leaf equal to the best.  Each is an
-automorphism of g, but since pruning skips the subtrees that would show the
-others, together they may generate only a subgroup of Aut(g).  That is
-enough to prune by orbits (as generation and the link recursions do): the
-orbit of a set under a subgroup lies inside its orbit under Aut(g), so
-skipping the other members of a subgroup orbit only ever skips isomorphic
-copies.  Nothing here relies on the whole group.
+transpositions and one permutation per leaf equal to the best.  They
+generate all of Aut(g), by McKay's argument for nauty.  Aut(g) permutes the
+leaves freely, and the leaves with the best rows form one orbit, so it is
+enough that each is the image of the best leaf under stored permutations.
+A reached one stores its own; the rest lie where the search skipped.  The
+rows cut removes only leaves with larger rows, a skipped sibling is the
+image of a tried one under a stored automorphism, and a leaf equal to the
+best abandons only subtrees its permutation carries from subtrees searched
+beside the best leaf's path.
 
 An adjacency is searched at most once between resets: the search reads
 only ``g.adj``, and ``_KEPT`` keeps its whole result under the adjacency
@@ -168,7 +170,7 @@ def canonical_order(g: Graph) -> tuple:
 def automorphisms(g: Graph) -> list:
     """The automorphisms the canonical search of g stored, each as a list
     ``perm`` of internal indices (``perm[i]`` is the image of ``i``); they
-    generate a subgroup of Aut(g), possibly all of it."""
+    generate Aut(g)."""
     packed, k = _kept(g)
     n = g.n
     return [list(packed[i:i + n]) for i in range(k + n, len(packed), n or 1)]  # n == 0: none

@@ -91,10 +91,9 @@ of a graph (``canon``) gives its form and stores automorphisms of it, and
 children are first needed it keeps each vertex's orbit under the group the
 automorphisms generate.  An automorphism s of G carries G minus N[v] onto
 G minus N[s(v)], so vertices of one orbit have isomorphic punches, and the
-same holds for G minus v.  The stored automorphisms may generate only a
-subgroup of Aut(G); its orbits are then finer, which costs punches but
-never misses a class.  Twin transpositions are among them, so twins need
-no rule of their own.
+same holds for G minus v.  The stored automorphisms generate all of
+Aut(G) (``canon``), so no two punches of one orbit are made.  Twin
+transpositions are among them, so twins need no rule of their own.
 """
 
 from __future__ import annotations

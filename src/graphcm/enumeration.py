@@ -4,7 +4,7 @@ machine verification of the classification theorems at desk scale.
 Generation grows graphs one vertex at a time (every connected graph has a
 non-cut vertex, so joining a new vertex to each nonempty subset of a
 connected (n-1)-vertex graph reaches every connected n-vertex graph) and
-deduplicates by canonical form per level.  Filters whose graph classes are
+keeps one child per isomorphism class.  Filters whose graph classes are
 closed under deleting a non-cut vertex (girth lower bounds, forbidden
 short cycles, planarity, block-cactus, cactus) prune during generation;
 girth upper bounds only apply to the finished graphs.
@@ -37,9 +37,8 @@ drop them first.
 * Orbit pruning.  The filters are isomorphism-invariant, so Aut(p)
   permutes the admissible masks of a parent p, and sigma(S) gives a child
   isomorphic to the one from S.  Only the first admissible mask of each
-  orbit under the automorphisms canon stored for p is tried (p keeps the
-  search that deduplicated it); these may generate only a subgroup, whose
-  orbits lie inside those of Aut(p).
+  orbit under the automorphisms canon stored for p is tried; they
+  generate all of Aut(p) (``canon``).
 * Canonical deletion.  A child is dropped when a non-cut vertex u != v
   outranks the new vertex v by (degree, sum of neighbour degrees), an
   isomorphism invariant of the child.  No class is lost: a connected H in
@@ -55,9 +54,17 @@ drop them first.
   S meets every component of p - u (vacuously so if p - u is empty).
   Aut(p) fixing v preserves the test, so orbits are taken of survivors.
 
-Survivors are deduplicated by canonical form, so each level lists each
-class exactly once; which representatives it keeps, and their order, are
-not part of the contract.
+A survivor is settled when every non-cut vertex tying v on that rank is a
+twin of v, and is kept without a canonical search; the others are
+deduplicated by canonical form.  No vertex has a false twin u and a true
+twin w (w in N(v) = N(u) puts u in N[w] = N[v]), so twin transpositions
+make the top-ranked non-cut vertices of a settled child one orbit.  Being
+settled is then a property of the class, so settled and searched copies
+never mix, and an isomorphism of two settled copies p + S, p' + S' can be
+taken to send v to v': it maps p onto p', one graph of level n-1, and S
+onto S' by an automorphism of p.  Orbit pruning tries one mask per orbit,
+so S = S'.  Each level lists each class once; which representatives it
+keeps, and their order, are not part of the contract.
 
 Levels are cached per hereditary-filter signature, so repeated suites over
 the same class reuse one generation pass.  Verification is embarrassingly
@@ -73,12 +80,12 @@ from dataclasses import dataclass
 
 from . import recognition
 from .canon import automorphisms, is_isomorphic
-from .complexes import DEFAULT_FIELDS, _char, _parts, _pure, is_cm_graph, is_gorenstein_graph
+from .complexes import DEFAULT_FIELDS, _char, is_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .families import gen_G
 from .graph import Graph, GraphInputError, UnsupportedSizeError, bits
 from .graphio import from_graph6, read_graph6_file, to_graph6
-from .independence import is_w2
+from .independence import is_w2, is_well_covered
 from .planarity import is_planar
 from .recognition import (
     is_block_cactus,
@@ -241,17 +248,20 @@ def _level(n: int, filt: EnumFilter):
             done = set()
             leads = _lead_rule(g.adj)
             for nbr_mask in filt.admissible_masks(g):
-                if nbr_mask in done or not leads(nbr_mask):
+                lead = nbr_mask not in done and leads(nbr_mask)
+                if not lead:
                     continue
                 if images:
                     done |= _orbit(nbr_mask, images)
                 h = g._extend(nbr_mask)
                 if filt.planar_only and not is_planar(h):
                     continue
-                c = h.canonical_form()
-                if c not in seen:
+                if lead != _SETTLED:
+                    c = h.canonical_form()
+                    if c in seen:
+                        continue
                     seen.add(c)
-                    out.append(h)
+                out.append(h)
         out = tuple(out)
     _LEVELS[key] = out
     return out
@@ -274,10 +284,15 @@ def _orbit(mask: int, images) -> set:
     return orbit
 
 
+_SETTLED = 2
+
+
 def _lead_rule(adj):
     """The canonical-deletion test on the parent with rows adj (module
-    docstring): ``leads(S)`` says whether no non-cut vertex of the child
-    p + S outranks its new vertex by (degree, sum of neighbour degrees)."""
+    docstring): ``leads(S)`` is 0 when a non-cut vertex of the child p + S
+    outranks its new vertex v by (degree, sum of neighbour degrees),
+    ``_SETTLED`` when every non-cut vertex tying v is a twin of v, and 1
+    otherwise.  u is a twin of v iff adj[u] | (S & 1 << u) == S."""
     n = len(adj)
     deg = [row.bit_count() for row in adj]
     dsum = [0]  # dsum[S]: the sum of deg over S
@@ -294,19 +309,22 @@ def _lead_rule(adj):
     def leads(mask):
         s = mask.bit_count()
         t = s + dsum[mask]
+        out = _SETTLED
         for u, d, nsum, nbrs, comps in rows:
             if d + 1 < s:
                 break
             if mask >> u & 1:
                 d += 1
                 nsum += s
-            if d > s or d == s and nsum + (nbrs & mask).bit_count() > t:
-                for c in comps:
-                    if not c & mask:
-                        break
-                else:
-                    return False
-        return True
+            if d < s:
+                continue
+            nsum += (nbrs & mask).bit_count()
+            if d > s or nsum > t:
+                if all(c & mask for c in comps):
+                    return 0
+            elif nsum == t and out == _SETTLED and nbrs | (mask & 1 << u) != mask and all(c & mask for c in comps):
+                out = 1
+        return out
 
     return leads
 
@@ -370,12 +388,16 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+# CM and Gorenstein graphs are well-covered.  Purity on g itself reads no
+# class record, so a settled graph that fails it is never searched.
+
+
 def _cm_all_fields(g: Graph, chars) -> bool:
-    return all(is_cm_graph(g, c) for c in chars)
+    return is_well_covered(g) and all(is_cm_graph(g, c) for c in chars)
 
 
 def _gorenstein_all_fields(g: Graph, chars) -> bool:
-    return all(is_gorenstein_graph(g, c) for c in chars)
+    return is_well_covered(g) and all(is_gorenstein_graph(g, c) for c in chars)
 
 
 def _is_family_member(g: Graph) -> bool:
@@ -408,17 +430,22 @@ def _pred_t3(g, chars):
     return cm == t3_partition_condition(g) == t3_simplicial_condition(g)
 
 
-def _wc_vd(g) -> bool:
-    # well-coveredness read off the class records, which the CM test reads too
-    return all(map(_pure, _parts(g))) and is_vertex_decomposable(g)[0]
+def _wc_vd_cm(g, chars) -> tuple:
+    """Well-covered and vertex decomposable; CM over every field.  Both
+    need purity, tested once."""
+    if not is_well_covered(g):
+        return False, False
+    return is_vertex_decomposable(g)[0], all(is_cm_graph(g, c) for c in chars)
 
 
 def _pred_cor2(g, chars):
-    return _wc_vd(g) == _cm_all_fields(g, chars) == (recognize_sqc(g) is not None)
+    wc_vd, cm = _wc_vd_cm(g, chars)
+    return wc_vd == cm == (recognize_sqc(g) is not None)
 
 
 def _pred_cor3(g, chars):
-    return _wc_vd(g) == _cm_all_fields(g, chars) == recognition.cactus_cm_condition(g)
+    wc_vd, cm = _wc_vd_cm(g, chars)
+    return wc_vd == cm == recognition.cactus_cm_condition(g)
 
 
 def _pred_t4(g, chars):

@@ -245,10 +245,11 @@ def brute_refine(adj, cells):
         cells = out
 
 
-def brute_new_vertex_leads(adj) -> bool:
-    """Whether no non-cut vertex of the graph with rows adj has a larger
-    (degree, sum of neighbour degrees) than its last vertex, the new one.
-    The cut test runs only on the vertices that beat it."""
+def brute_new_vertex_leads(adj) -> int:
+    """How the last vertex v, the new one, of the graph with rows adj ranks
+    by (degree, sum of neighbour degrees) among the non-cut vertices: 0 if
+    one outranks it, 2 if every one that ties it is a twin of it
+    (N(u) - {v} == N(v) - {u}), and 1 otherwise."""
     from graphcm.enumeration import _ball
 
     deg = [row.bit_count() for row in adj]
@@ -257,13 +258,14 @@ def brute_new_vertex_leads(adj) -> bool:
     def key(u):
         return deg[u], sum(deg[w] for w in bits(adj[u]))
 
-    mine = key(v)
-    for u in range(v):
-        if deg[u] >= mine[0] and key(u) > mine:
-            others = ((1 << len(adj)) - 1) ^ (1 << u)
-            if _ball(adj, v, v, others) == others:
-                return False
-    return True
+    def non_cut(u):
+        others = ((1 << len(adj)) - 1) ^ (1 << u)
+        return _ball(adj, v, v, others) == others
+
+    rivals = [u for u in range(v) if key(u) >= key(v) and non_cut(u)]
+    if any(key(u) > key(v) for u in rivals):
+        return 0
+    return 2 if all(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in rivals) else 1
 
 
 _BRUTE_LEVELS = {}

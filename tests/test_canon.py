@@ -241,13 +241,17 @@ def test_stored_automorphisms_generate_the_group_on_atlas():
 
 
 def test_stored_automorphisms_generate_the_group_beyond_the_atlas():
-    # every 20th connected graph on 8 vertices, random connected graphs on
-    # 9-12 vertices, and vertex-transitive graphs, where refinement alone
-    # separates nothing
-    from graphcm.enumeration import enumerate_connected
+    # every 20th connected graph on 8 vertices, every one in each filtered
+    # class the suites generate (generation's orbit pruning needs the whole
+    # group of each parent), random connected graphs on 9-12 vertices, and
+    # vertex-transitive graphs, where refinement alone separates nothing
+    from graphcm.enumeration import _THEOREMS, EnumFilter, _level, enumerate_connected
 
     level = list(enumerate_connected(8))
     assert len(level) == 11117
+    suites = {filt.hereditary_key(): filt for _desc, filt, _n, _pred in _THEOREMS.values() if filt not in (None, EnumFilter())}
+    assert len(suites) == 6
+    classes = [g for filt in suites.values() for g in _level(8, filt)]
     rnd = random.Random(12)
     randoms = []
     while len(randoms) < 200:
@@ -256,7 +260,7 @@ def test_stored_automorphisms_generate_the_group_beyond_the_atlas():
             randoms.append(_from_nx(h))
     circulants = ((8, [1, 2]), (9, [1, 3]), (10, [1, 4]), (12, [1, 5]), (13, [1, 3, 4]))
     transitive = [_from_nx(nx.hypercube_graph(3))] + [_from_nx(nx.circulant_graph(n, j)) for n, j in circulants]
-    inputs = level[::20] + randoms + transitive
+    inputs = level[::20] + classes + randoms + transitive
     assert [to_graph6(g) for g in inputs if not _generates_the_group(g)] == []
 
 
@@ -325,6 +329,16 @@ def test_graphs_sharing_an_adjacency_share_one_search(monkeypatch):
     assert canonical_form(g) == canonical_form(h) and automorphisms(g) == automorphisms(h)
     assert searched == {g.adj: 1}
     assert isomorphism_map(g, h) == dict(zip(g.labels, h.labels))
+
+
+def test_generation_searches_fewer_graphs_than_it_keeps(monkeypatch):
+    # a settled child is kept without a search: only the parents and the
+    # children whose new vertex ties a non-twin are searched
+    from graphcm import enumeration
+
+    searched = _count_searches(monkeypatch)
+    assert enumeration.connected_counts(8)[-1] == 11117
+    assert sum(searched.values()) < 11117
 
 
 def test_a_reset_searches_again(monkeypatch):

@@ -254,7 +254,8 @@ def test_admissible_masks_are_the_passing_extensions(case):
 @example((EnumFilter(), Graph.empty(1)))
 @example((EnumFilter(), path_graph(9)))
 def test_lead_rule_matches_the_child_side_test(case):
-    # the parent-side decision against the test run on each built child
+    # the parent-side decision (reject, search, or settled) against the
+    # test run on each built child
     from graphcm.enumeration import _lead_rule
 
     _, g = case
@@ -278,15 +279,22 @@ def test_filtered_level_counts():
     table = [
         (EnumFilter(min_girth=5), [1, 1, 1, 2, 4, 8, 18, 47, 137, 464, 1793]),
         (EnumFilter(min_girth=6), [1, 1, 1, 2, 3, 7, 13, 31, 71, 198]),
-        (EnumFilter(forbid_c4=True, forbid_c5=True), [1, 1, 2, 3, 7, 17, 44, 123, 387]),
+        (EnumFilter(forbid_c4=True, forbid_c5=True), [1, 1, 2, 3, 7, 17, 44, 123, 387, 1327]),
         # OEIS A000083
         (EnumFilter(cactus_only=True), [1, 1, 2, 4, 9, 23, 63, 188, 596, 1979]),
-        (EnumFilter(block_cactus_only=True), [1, 1, 2, 5, 11, 29, 82, 254, 828]),
-        (EnumFilter(min_girth=4, planar_only=True), [1, 1, 1, 3, 6, 18, 55, 230, 1063]),
+        (EnumFilter(block_cactus_only=True), [1, 1, 2, 5, 11, 29, 82, 254, 828, 2846]),
+        (EnumFilter(min_girth=4, planar_only=True), [1, 1, 1, 3, 6, 18, 55, 230, 1063, 6161]),
     ]
     for filt, counts in table:
         # girth >= 5 at n = 11 is read past HARD_CAP through the level itself
-        assert [len(_level(n, filt)) for n in range(1, len(counts) + 1)] == counts, filt
+        levels = [_level(n, filt) for n in range(1, len(counts) + 1)]
+        assert list(map(len, levels)) == counts, filt
+        # settled children are kept without the dedup, so a duplicate would
+        # show here as two equal forms
+        assert all(len({canonical_form(g) for g in level}) == len(level) for level in levels), filt
+    t4 = EnumFilter(min_girth=4, max_girth=4, planar_only=True)
+    t4_counts = [sum(1 for _ in enumerate_connected(n, t4)) for n in range(1, 11)]
+    assert t4_counts == [0, 0, 0, 1, 2, 10, 37, 183, 927, 5705]
 
 
 def test_connected_counts_respects_the_cap():
