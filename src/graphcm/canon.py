@@ -98,12 +98,9 @@ def _refine(adj, cells, todo):
                     out.append(c)
                     continue
                 parts = {}
-                m = c
-                while m:
-                    b = m & -m
-                    m ^= b
-                    k = (adj[b.bit_length() - 1] & w).bit_count()
-                    parts[k] = parts.get(k, 0) | b
+                for v in bits(c):
+                    k = (adj[v] & w).bit_count()
+                    parts[k] = parts.get(k, 0) | 1 << v
                 if len(parts) == 1:
                     out.append(c)
                     continue
@@ -199,11 +196,8 @@ def _search(g: Graph):
         while k < n and cells[k] & (cells[k] - 1) == 0:
             v = cells[k].bit_length() - 1
             row = 0
-            m = adj[v] & placed
-            while m:
-                b = m & -m
-                m ^= b
-                row |= 1 << pos[b.bit_length() - 1]
+            for u in bits(adj[v] & placed):
+                row |= 1 << pos[u]
             rows.append(row)
             order.append(v)
             pos[v] = k
@@ -225,7 +219,7 @@ def _search(g: Graph):
 
     def branch(cells, k):
         cell = cells[k]
-        verts = list(bits(cell))
+        verts = bits(cell)
         # orbits of the prefix stabiliser on the target cell, as union-find
         orbit = list(range(n))
 

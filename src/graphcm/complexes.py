@@ -388,7 +388,7 @@ def _boundary_columns(prev_faces, cur_faces):
     for f in cur_faces:
         col = []
         rest = f
-        while rest:
+        while rest:  # faces reach past one byte, where this beats bits()
             low = rest & -rest
             col.append(row_of[f ^ low])
             rest ^= low

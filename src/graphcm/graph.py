@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 MAX_VERTICES = 64
 
@@ -46,12 +46,26 @@ class PreconditionError(GraphInputError):
     """An operation's stated precondition does not hold."""
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+# _LOW[b]: the set bit positions of the byte value b; _HIGH[k - 1][b]: the
+# same for b at byte k of a word
+_LOW = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_HIGH = tuple(tuple(tuple(map((8 * k).__add__, t)) for t in _LOW) for k in range(1, 8))
+
+
+def bits(mask: int) -> tuple:
+    """The set bit positions of ``mask``, a word in [0, 2**64), as a tuple
+    in increasing order: one table lookup per byte, no generator."""
+    if 0 <= mask < 256:
+        return _LOW[mask]
+    if mask >> 64:  # also every negative mask
+        raise ValueError(f"bits() takes a mask in [0, 2**64), got {mask}")
+    out = _LOW[mask & 255]
+    mask >>= 8
+    for table in _HIGH:
+        out += table[mask & 255]
+        mask >>= 8
+        if not mask:
+            return out
 
 
 @dataclass(frozen=True)
@@ -200,7 +214,7 @@ class Graph:
 
     def keep_mask(self, mask: int) -> "Graph":
         """Induced subgraph on the internal-index set ``mask``."""
-        kept = list(bits(mask))
+        kept = bits(mask)
         pos = {old: new for new, old in enumerate(kept)}
         labels = tuple(self.labels[i] for i in kept)
         adj = []
@@ -254,7 +268,7 @@ class Graph:
         left = self.full_mask
         while left:
             comp = frontier = left & -left
-            while frontier:  # one vertex at a time: no generator on this hot path
+            while frontier:  # one vertex at a time: the frontier grows while it is read
                 b = frontier & -frontier
                 new = adj[b.bit_length() - 1] & ~comp
                 comp |= new

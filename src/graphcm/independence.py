@@ -2,7 +2,10 @@
 number, the shedding test, and the well-covered / W2 predicates.
 
 Maximal independent sets are enumerated as maximal cliques of the
-complement (Bron-Kerbosch with pivoting).  The public stream is sorted
+complement: Bron-Kerbosch with Tomita's pivot (the first vertex of P | X
+with the most non-neighbours in P), on an explicit stack of frames [R, P, X,
+candidates] taking candidates in increasing bit order: the recursive form's
+tree and order, from one generator frame.  The public stream is sorted
 lexicographically by bitmask so repeated runs see identical order; callers
 that only need existence use the unordered internal enumerator and stop
 early.
@@ -43,31 +46,35 @@ def _nonadj(g: Graph) -> list:
 
 def _mis_masks(g: Graph):
     """Yield every maximal independent set of g as a bitmask (unordered)."""
-    n = g.n
-    if n == 0:
-        yield 0
-        return
     compat = _nonadj(g)
-    full = g.full_mask
-
-    def expand(r, p, x):
-        if p == 0 and x == 0:
+    stack = []  # one frame [r, p, x, candidates] per open node of the search
+    r, p, x = 0, g.full_mask, 0
+    while True:
+        if not p | x:
             yield r
+        elif p:
+            pivot = best = -1
+            for u in bits(p | x):
+                c = (p & compat[u]).bit_count()
+                if c > best:
+                    best = c
+                    pivot = u
+            stack.append([r, p, x, p & ~compat[pivot]])
+        # descend into the next candidate of the deepest frame that has one
+        while stack:
+            frame = stack[-1]
+            r, p, x, cand = frame
+            if cand:
+                b = cand & -cand
+                v = b.bit_length() - 1
+                frame[1] = p ^ b
+                frame[2] = x | b
+                frame[3] = cand ^ b
+                r, p, x = r | b, p & compat[v], x & compat[v]
+                break
+            stack.pop()
+        else:
             return
-        pivot_pool = p | x
-        pivot = -1
-        best = -1
-        for u in bits(pivot_pool):
-            c = (p & compat[u]).bit_count()
-            if c > best:
-                best = c
-                pivot = u
-        for v in bits(p & ~compat[pivot]):
-            yield from expand(r | 1 << v, p & compat[v], x & compat[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    yield from expand(0, full, 0)
 
 
 def _is_shedding(g: Graph, i: int) -> bool:

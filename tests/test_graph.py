@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import graphs, to_nx
 import networkx as nx
@@ -13,6 +13,7 @@ from graphcm.graph import (
     NotAnEdgeError,
     UnknownVertexError,
     UnsupportedSizeError,
+    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -21,6 +22,31 @@ from graphcm.graph import (
 )
 from graphcm.canon import is_isomorphic
 from graphcm.families import gen_G, gen_H
+
+
+def _shift_loop_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda width: st.integers(0, (1 << width) - 1)))
+def test_bits_matches_a_shift_loop(mask):
+    got = bits(mask)
+    assert type(got) is tuple and list(got) == _shift_loop_bits(mask)
+
+
+def test_bits_edge_cases():
+    assert bits(0) == ()
+    assert bits(255) == tuple(range(8))
+    assert bits(256) == (8,)
+    assert bits(1 << 63) == (63,)
+    assert bits((1 << 64) - 1) == tuple(range(64))
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 64])
+def test_bits_rejects_masks_outside_a_word(mask):
+    with pytest.raises(ValueError):
+        bits(mask)
 
 
 def test_construction_validates():

@@ -1,17 +1,23 @@
+import itertools
+import random
+
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 
-from conftest import brute_alpha, brute_maximal_independent_sets, graphs
+from conftest import brute_alpha, brute_maximal_independent_sets, graphs, to_nx
 
 from graphcm.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
 from graphcm.independence import (
+    _is_shedding,
+    _mis_masks,
     independence_number,
     independent_set_report,
     is_w2,
     is_well_covered,
     maximal_independent_sets,
 )
-from graphcm.families import gen_G
+from graphcm.families import gen_G, gen_H
 
 
 def test_maximal_independent_sets_examples():
@@ -93,3 +99,32 @@ def test_w2_matches_definition_on_atlas():
 @given(graphs(1, 8))
 def test_w2_matches_definition(g):
     assert is_w2(g) == _brute_is_w2(g)
+
+
+# -- past one table byte: graphs on 9 to 24 vertices ----------------------------------
+
+
+def _random_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(9, 24)
+    density = rng.uniform(0.15, 0.6)
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+
+
+WIDE = [gen_G(k) for k in range(1, 7)] + [gen_H(k) for k in range(1, 7)] + [_random_graph(s) for s in range(40)]
+
+
+@pytest.mark.parametrize("g", WIDE, ids=[f"n{g.n}-m{g.m}-{i}" for i, g in enumerate(WIDE)])
+def test_mis_masks_match_networkx_past_one_byte(g):
+    # maximal independent sets are the maximal cliques of the complement
+    complement = nx.complement(to_nx(g))
+    theirs = [sum(1 << v for v in clique) for clique in nx.find_cliques(complement)]
+    ours = list(_mis_masks(g))
+    assert len(ours) == len(set(ours))  # each set exactly once
+    assert sorted(ours) == sorted(theirs)
+    assert is_well_covered(g) == (len({mask.bit_count() for mask in theirs}) == 1)
+    for i in range(g.n):
+        rest = complement.subgraph(set(range(g.n)) - {i})
+        # an empty graph has one maximal independent set, the empty one
+        sheds = all(any(g.adj[i] >> v & 1 for v in clique) for clique in list(nx.find_cliques(rest)) or [[]])
+        assert _is_shedding(g, i) == sheds

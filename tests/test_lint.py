@@ -97,6 +97,47 @@ def test_no_dead_definitions(path):
     assert _dead_definitions(path.read_text(), _named_by_readers()) == []
 
 
+def _self_delegating_generators(source: str) -> list:
+    """(line, name) of each function with a ``yield from`` of a call to
+    itself: a recursive generator, which passes every item up through one
+    frame per level."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.YieldFrom) and isinstance(sub.value, ast.Call):
+                    func = sub.value.func
+                    if getattr(func, "id", None) == node.name or getattr(func, "attr", None) == node.name:
+                        out.append((sub.lineno, node.name))
+    return sorted(out)
+
+
+def test_detector_flags_a_recursive_generator():
+    # the recursive Bron-Kerbosch that _mis_masks replaced
+    src = (
+        "def _mis_masks(g):\n"
+        "    def expand(r, p, x):\n"
+        "        if p == 0 and x == 0:\n"
+        "            yield r\n"
+        "            return\n"
+        "        for v in bits(p):\n"
+        "            yield from expand(r | 1 << v, p & compat[v], x & compat[v])\n"
+        "    yield from expand(0, g.full_mask, 0)\n"
+        "class T:\n"
+        "    def walk(self, k):\n"
+        "        yield k\n"
+        "        yield from self.walk(k - 1)\n"
+        "def flat(xs):\n"
+        "    yield from iter(xs)\n"
+    )
+    assert _self_delegating_generators(src) == [(7, "expand"), (12, "walk")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_recursive_generators(path):
+    assert _self_delegating_generators(path.read_text()) == []
+
+
 def test_only_complexes_keys_the_class_table():
     # every other module reaches the records through complexes._parts, so
     # a disconnected graph is never keyed
