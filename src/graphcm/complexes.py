@@ -17,8 +17,8 @@ ranks mod primes bound each rational rank from below, d*d = 0 bounds it
 from above through its neighbours, and a rank whose bounds meet is exact.
 When the mod-p Betti numbers vanish below the top dimension every rank is
 pinned, so the rational profile equals the mod-p one (the universal
-coefficient theorem seen through ranks); integer elimination runs only on
-ranks the bounds leave open.  The GF(2) ranks are that first stage, so a
+coefficient theorem seen through ranks); more primes certify the ranks
+the bounds leave open.  The GF(2) ranks are that first stage, so a
 rational profile brings the GF(2) profile with it.  Verdicts never
 collapse fields silently; callers pass the characteristics they care about.
 
@@ -34,8 +34,8 @@ table of isomorphism classes of connected graphs keyed by canonical form
 classes of the components of G minus N[v] over the vertices v, found once
 and then followed by reference; the graphs G minus v and the edge punches,
 each as the tuple of its components' classes, for doubly-CM and the square
-criterion; its purity (well-coveredness); its independence number; its
-W2 verdict; its vertex-decomposability verdict (``decomposability``); and
+criterion; its purity; its independence number; its vertices' shedding
+verdicts; its vertex-decomposability verdict (``decomposability``); and
 per characteristic its Betti numbers, its Reisner verdict and its Stanley
 verdict.  A second field, the other engine or another entry point on a
 class already met computes no canonical form again.  Both engines test
@@ -65,10 +65,10 @@ W2, and only then the graphs g minus v.  Two implications make this exact.
   and Delta(G minus v) = Delta(G) minus v is CM of the dimension of
   Delta(G), so G minus v is well-covered with alpha(G minus v) = alpha(G),
   which on the well-covered G means v sheds (see ``independence``).
-W2 (``_w2``) is kept once per class and tested at one vertex per orbit,
-since shedding is invariant under automorphisms; ``recognition.classify``
-reads alpha, well-coveredness and W2 off the records too, so one
-enumeration of a class's maximal independent sets serves all three.
+W2 (``_w2``) reads shedding verdicts (``_sheds``, shared with the VD
+search) at one vertex per orbit, as shedding is invariant under
+automorphisms; ``classify`` reads alpha, well-coveredness and W2 off the
+records, so one enumeration of a class's maximal independent sets serves all.
 
 Components come first: a disconnected graph is never searched or
 face-enumerated, and every entry point reads it off its components'
@@ -107,45 +107,14 @@ from .graph import Graph, GraphInputError, bits
 from .independence import _is_shedding, _mis_masks, independence_number, is_well_covered
 
 
-# Miller-Rabin with the prime bases 2..41 is exact below this bound; bases
-# 2..37 alone are exact below 3.18e23 (Sorenson and Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(p: int) -> bool:
-    """Deterministic primality for 0 <= p < _MR_LIMIT."""
-    if p < 2:
-        return False
-    for a in _MR_BASES:
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _char(field) -> int:
     """A FieldSpec's characteristic, or an int checked as FieldSpec checks
     its own; every homology entry point takes its field through this."""
     if isinstance(field, FieldSpec):
         return field.characteristic
-    if field >= _MR_LIMIT:
+    if field >= linalg._MR_LIMIT:
         raise GraphInputError(f"field characteristic {field} is too large to certify as prime")
-    if field != 0 and not _is_prime(field):
+    if field != 0 and not linalg._is_prime(field):
         raise GraphInputError(f"field characteristic must be 0 or a prime, got {field}")
     return field
 
@@ -396,20 +365,15 @@ def _boundary_columns(prev_faces, cur_faces):
     return cols
 
 
-def _dense_rows(cols, nrows):
-    rows = [[0] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for t, i in enumerate(col):
-            rows[i][j] = -1 if t & 1 else 1
-    return rows
+def _signed(cols):
+    """The columns of _boundary_columns as {row: +1 or -1} dicts."""
+    return ({i: -1 if t & 1 else 1 for t, i in enumerate(col)} for col in cols)
 
 
 def _rank_mod(cols, p: int) -> int:
     """Rank modulo the prime p of a map given by _boundary_columns."""
     if p != 2:
-        return linalg.rank_mod_p_sparse(
-            ({i: -1 if t & 1 else 1 for t, i in enumerate(col)} for col in cols), p
-        )
+        return linalg.rank_mod_p(_signed(cols), p)
     masks = []
     for col in cols:
         mask = 0
@@ -441,7 +405,8 @@ def _rational_ranks(sizes, cols, lo) -> list:
     Each stage runs only on the maps the stages before it left open:
     1. the GF(2) ranks lo, from bitset columns (the caller's, see _profiles);
     2. ranks modulo linalg.LARGE_PRIME;
-    3. linalg.rank_char0 with the chain upper bound, one map at a time,
+    3. linalg.rank_char0 with the chain upper bound, one map at a time:
+       ranks modulo further primes until their product certifies the rank,
        settling the bounds again after each exact rank.
     """
     top = len(sizes) - 2
@@ -461,7 +426,7 @@ def _rational_ranks(sizes, cols, lo) -> list:
     open_maps = settle()
     while open_maps:
         c = open_maps[0]
-        lo[c] = hi[c] = linalg.rank_char0(_dense_rows(cols[c], sizes[c - 1]), hi[c])
+        lo[c] = hi[c] = linalg.rank_char0(_signed(cols[c]), hi[c])
         open_maps = settle()
     return lo
 
@@ -515,8 +480,9 @@ class _Class:
     the tuple of its components' classes, since alpha sums over them with
     multiplicity; ``deletions`` is built only for W2 classes that are not
     Gorenstein*, the only ones whose doubly-CM verdict needs them;
-    ``pure`` is well-coveredness; ``alpha`` the independence number; ``w2``
-    the W2 verdict; ``shed`` the canonical position in ``graph`` of the
+    ``pure`` is well-coveredness; ``alpha`` the independence number;
+    ``sheds`` is an int with bit 2v set once v's shedding test ran and bit
+    2v + 1 if v sheds; ``shed`` the canonical position in ``graph`` of the
     shedding vertex the vertex-decomposability search chose, or -1
     (``decomposability``); ``betti``, ``cm`` and ``gor`` map a
     characteristic to the reduced Betti numbers, the Reisner verdict and
@@ -529,8 +495,8 @@ class _Class:
     edge_punches: tuple | None = None
     pure: bool | None = None
     alpha: int | None = None
-    w2: bool | None = None
     shed: int | None = None
+    sheds: int = 0
     betti: dict = dc_field(default_factory=dict)
     cm: dict = dc_field(default_factory=dict)
     gor: dict = dc_field(default_factory=dict)
@@ -646,13 +612,17 @@ def _alpha(rec: _Class) -> int:
     return rec.alpha
 
 
+def _sheds(rec: _Class, v: int) -> bool:
+    if not rec.sheds >> 2 * v & 1:
+        rec.sheds |= (1 + 2 * _is_shedding(rec.graph, v)) << 2 * v
+    return rec.sheds >> 2 * v & 2 > 0
+
+
 def _w2(rec: _Class) -> bool:
     """Well-covered with every vertex shedding, tested at one vertex per
     orbit: an automorphism carrying v to w carries the maximal independent
     sets of g minus v onto those of g minus w, and N(v) onto N(w)."""
-    if rec.w2 is None:
-        rec.w2 = _pure(rec) and all(_is_shedding(rec.graph, v) for v in _reps(rec))
-    return rec.w2
+    return _pure(rec) and all(_sheds(rec, v) for v in _reps(rec))
 
 
 def _punch_cm(punch: tuple, alpha: int, char: int) -> bool:

@@ -8,16 +8,15 @@ search runs on the class records of the components with an edge
 (``complexes._parts``), as the Reisner recursion does.  It tries one
 vertex per automorphism orbit, by descending degree: an automorphism
 carrying v to w carries the shedding condition, G minus v and G minus
-N[v] along, so the verdict is that of a search over every vertex.  A
-record whose W2 verdict is already true sheds at every vertex (see
-``independence``), so there the shedding test is skipped.
+N[v] along, so the verdict is that of a search over every vertex.  The
+record keeps each vertex's shedding test (``complexes._sheds``) for W2 too.
 
 A record's ``shed`` is the canonical position in its graph of the shedding
 vertex its search chose, or -1.  Positions survive relabeling: isomorphic
 graphs place corresponding vertices at equal canonical positions.  One
 walk (``_walk``) follows positions through components, G minus v and G
-minus N[v], and checks at each step that the vertex sheds.  Fed from the
-table it writes a certificate; fed from a certificate it replays one.
+minus N[v], and checks once per class that the vertex sheds.  Fed from
+the table it writes a certificate; fed from a certificate it replays one.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_order
-from .complexes import _PROFILE_CACHE, _parts, _reps, clear_caches
+from .complexes import _PROFILE_CACHE, _parts, _reps, _sheds, clear_caches
 from .graph import Graph
 from .graphio import to_graph6
 from .independence import _is_shedding
@@ -91,7 +90,7 @@ def _vd(rec) -> bool:
         g = rec.graph
         for i in sorted(_reps(rec), key=lambda i: -g.adj[i].bit_count()):
             # g minus v, then g minus N[v]
-            if (rec.w2 or _is_shedding(g, i)) and all(
+            if _sheds(rec, i) and all(
                 _vd_parts(g.keep_mask(g.full_mask & ~mask)) for mask in (1 << i, g.adj[i] | 1 << i)
             ):
                 rec.shed = canonical_order(g).index(i)
@@ -99,25 +98,27 @@ def _vd(rec) -> bool:
     return rec.shed >= 0
 
 
-def _walk(g: Graph, position, steps=None) -> bool:
+def _walk(g: Graph, position, steps: dict) -> bool:
     """Decompose g along the canonical positions ``position(form)`` gives
     (None when it has none): True iff every step's vertex sheds and every
-    leaf is edgeless.  ``steps``, if given, maps each class met to its
-    graph6, shed label and position at its first visit."""
+    leaf is edgeless.  ``steps`` maps each class met to its graph6, shed
+    label and position; a class met again is done, since a false step ends
+    the walk and a class's subtrees hold only smaller graphs."""
     if g.is_edgeless():
         return True
     comps = g.component_masks()
     if len(comps) > 1:
         return all(_walk(g.keep_mask(mask), position, steps) for mask in comps)
     key = g.canonical_form()
+    if key in steps:
+        return True
     pos = position(key)
     if pos is None or not 0 <= pos < g.n:
         return False
     i = canonical_order(g)[pos]
     if not _is_shedding(g, i):
         return False
-    if steps is not None and key not in steps:
-        steps[key] = (to_graph6(g), g.labels[i], pos)
+    steps[key] = (to_graph6(g), g.labels[i], pos)
     full = g.full_mask
     return _walk(g.keep_mask(full & ~(1 << i)), position, steps) and _walk(
         g.keep_mask(full & ~(g.adj[i] | 1 << i)), position, steps
@@ -127,4 +128,4 @@ def _walk(g: Graph, position, steps=None) -> bool:
 def replay_certificate(g: Graph, cert: SheddingCertificate) -> bool:
     """Re-execute a certificate: the shedding condition must hold at every
     recorded step and every leaf must be edgeless."""
-    return _walk(g, cert.step_map().get)
+    return _walk(g, cert.step_map().get, {})

@@ -18,10 +18,10 @@ vertices and the second alpha(G) - 1.  So G minus v is well-covered with
 alpha(G minus v) = alpha(G) iff v is shedding, and G is W2 iff it is
 well-covered and every vertex sheds.  A doubly Cohen-Macaulay graph has
 both properties for every v, so it is W2.  The class records of
-``complexes`` keep the W2 verdict, tested at one vertex per automorphism
-orbit, for the doubly-CM test, ``recognition.classify`` and the search
-of ``decomposability``; ``is_w2`` here tests every vertex of the graph
-it is given, independently of any record or homology.
+``complexes`` keep shedding verdicts, at one vertex per automorphism
+orbit, for W2 (the doubly-CM test, ``recognition.classify``) and the
+search of ``decomposability``; ``is_w2`` here tests every vertex of the
+graph it is given, independently of any record or homology.
 """
 
 from __future__ import annotations

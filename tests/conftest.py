@@ -90,6 +90,16 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def dense_rows(vectors, nrows: int) -> list:
+    """The {row: value} columns as a list of dense rows, for the oracles."""
+    vectors = list(vectors)
+    rows = [[0] * len(vectors) for _ in range(nrows)]
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items():
+            rows[i][j] = x
+    return rows
+
+
 def modp_rank(rows, p: int) -> int:
     if not rows or not rows[0]:
         return 0

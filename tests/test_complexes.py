@@ -93,7 +93,7 @@ def test_is_prime_matches_sieve():
         if sieve[p]:
             for q in range(p * p, n, p):
                 sieve[q] = False
-    assert [complexes._is_prime(k) for k in range(n)] == sieve
+    assert [linalg._is_prime(k) for k in range(n)] == sieve
 
 
 def test_complex_normalisation_and_void():
@@ -353,14 +353,47 @@ def test_rp2_torsion_splits_fields():
 
 def test_rational_fallback_runs_bareiss(monkeypatch):
     # rational homology in two adjacent dimensions leaves the rank of the
-    # edge boundary open after the modular bounds, so integer elimination runs
+    # edge boundary open after the modular bounds, so the open-rank stage,
+    # rank_char0, runs
     calls = []
-    bareiss = linalg.rank_bareiss
-    monkeypatch.setattr(linalg, "rank_bareiss", lambda rows: calls.append(rows) or bareiss(rows))
+    rank_char0 = linalg.rank_char0
+    monkeypatch.setattr(linalg, "rank_char0", lambda vectors, upper: calls.append(upper) or rank_char0(vectors, upper))
     hollow_triangle_and_point = (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}), frozenset({3}))
     delta = SimplicialComplex((0, 1, 2, 3), hollow_triangle_and_point)
     assert betti_profile(delta, FieldSpec(0)).betti == (0, 1, 1) == _brute(delta, 0)
     assert len(calls) == 1
+
+
+def _hollow_triangles_and_point(k):
+    facets = [frozenset({3 * t + a, 3 * t + b}) for t in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+    return SimplicialComplex(tuple(range(3 * k + 1)), tuple(facets) + (frozenset({3 * k}),))
+
+
+@pytest.mark.parametrize("k, primes", [(30, 1), (31, 2), (40, 2)])
+def test_open_rank_takes_primes_until_hadamard_is_passed(monkeypatch, k, primes):
+    # the open edge map has rank 2k and columns of squared length 2, so
+    # ranks modulo t primes near 2**31 certify it once 2**(62 t) > 2**(2k+1)
+    used = []
+    rank_mod_p = linalg.rank_mod_p
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda vectors, p: used.append(p) or rank_mod_p(vectors, p))
+    delta = _hollow_triangles_and_point(k)
+    assert betti_profile(delta, FieldSpec(0)).betti == (0, k, k)
+    assert len([p for p in used if p != linalg.LARGE_PRIME]) == primes
+    if k > 30:
+        assert _brute(delta, 0) == (0, k, k)
+
+
+def test_torsion_beside_an_open_rank_matches_brute_force(monkeypatch):
+    # RP^2's torsion splits the GF(2) ranks from the rational ones, and the
+    # hollow triangle beside it still leaves a rank for the open-rank stage
+    calls = []
+    rank_char0 = linalg.rank_char0
+    monkeypatch.setattr(linalg, "rank_char0", lambda vectors, upper: calls.append(upper) or rank_char0(vectors, upper))
+    extra = (frozenset({6, 7}), frozenset({6, 8}), frozenset({7, 8}), frozenset({9}))
+    delta = SimplicialComplex(tuple(range(10)), RP2.facets + extra)
+    for char in (0, 2, 3):
+        assert betti_profile(delta, FieldSpec(char)).betti == _brute(delta, char)
+    assert calls
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,9 +405,10 @@ def test_random_complexes_match_brute_force(facets):
 
 
 def test_gorenstein_g6_needs_no_bareiss(monkeypatch):
-    def refuse(rows):
-        raise AssertionError("integer elimination should not be needed")
+    def refuse(*args):
+        raise AssertionError("the modular bounds should pin every rank")
 
+    monkeypatch.setattr(linalg, "rank_char0", refuse)
     monkeypatch.setattr(linalg, "rank_bareiss", refuse)
     complexes.clear_caches()
     for char in (0, 2):
@@ -697,6 +731,7 @@ def test_classify_of_the_families_builds_no_deletions(monkeypatch):
 def test_classify_enumerates_the_maximal_independent_sets_once(monkeypatch):
     # one enumeration on the record serves the report, purity and the doubly-CM rule
     from graphcm import independence
+    from graphcm.families import gen_H
     from graphcm.recognition import classify
 
     seen = []
@@ -712,3 +747,10 @@ def test_classify_enumerates_the_maximal_independent_sets_once(monkeypatch):
     # test and purity
     repeated = [adj for adj, k in Counter(seen).items() if k > 1]
     assert all(len(adj) < 2 for adj in repeated)
+    # on H4, well-covered but not W2, the search reads the shedding
+    # verdicts W2 left on the record
+    seen.clear()
+    complexes.clear_caches()
+    report = classify(gen_H(4))
+    assert report.well_covered and not report.w2
+    assert [adj for adj, k in Counter(seen).items() if k > 1 and len(adj) > 1] == []

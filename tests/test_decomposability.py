@@ -181,11 +181,26 @@ def test_cycle_search_tests_shedding_once_per_class(monkeypatch):
     # C_n has one orbit, so its search tries one vertex; for n >= 6 it does
     # not shed, and the search stops there
     calls = []
-    shedding = decomposability._is_shedding
-    monkeypatch.setattr(decomposability, "_is_shedding", lambda g, i: calls.append(g.adj) or shedding(g, i))
+    shedding = complexes._is_shedding
+    monkeypatch.setattr(complexes, "_is_shedding", lambda g, i: calls.append(g.adj) or shedding(g, i))
     for n in range(6, 11):
         clear_caches()
         calls.clear()
         assert not is_vertex_decomposable(cycle_graph(n))[0]
         visited = [rec for rec in complexes._PROFILE_CACHE.values() if rec.shed is not None]
         assert len(calls) <= len(visited), n
+
+
+def test_certificate_walk_tests_shedding_once_per_class(monkeypatch):
+    # a class met again in the walk was decomposed whole at its first visit
+    calls = []
+    shedding = decomposability._is_shedding
+    monkeypatch.setattr(decomposability, "_is_shedding", lambda g, i: calls.append(g.adj) or shedding(g, i))
+    for g in (gen_G(5), gen_H(4), cycle_graph(5)):
+        clear_caches()
+        calls.clear()
+        ok, cert = is_vertex_decomposable(g, want_certificate=True)
+        written = len(calls)
+        calls.clear()
+        assert ok and replay_certificate(g, cert)
+        assert written == len(calls) == len(cert.steps), g

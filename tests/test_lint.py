@@ -204,3 +204,47 @@ def test_the_benchmark_reset_empties_every_module_cache():
     assert [name for name, cache in caches.items() if not cache] == []
     workloads.clear_caches()
     assert [name for name, cache in caches.items() if cache] == []
+
+
+# -- the exact reference rank stays off the program's path ---------------------
+
+
+def _calls_of(source: str, name: str) -> list:
+    """Lines of the calls of ``name``, plain or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    )
+
+
+def _bareiss_on_the_path(path: Path) -> list:
+    """Where a package module reaches rank_bareiss: linalg may define it
+    but not call it, and no other module may name it."""
+    source = path.read_text()
+    if path.name == "linalg.py":
+        return _calls_of(source, "rank_bareiss")
+    return ["named"] if _names(ast.parse(source))["rank_bareiss"] else []
+
+
+def test_detector_flags_a_call_of_bareiss(tmp_path):
+    # the rank_char0 that ran Bareiss on every rank its modular bound left open
+    parent = (
+        "def rank_bareiss(rows):\n    return len(rows)\n"
+        "def rank_char0(rows, upper):\n"
+        "    if not rows or not rows[0]:\n        return 0\n"
+        "    r = rank_mod_p(rows, LARGE_PRIME)\n"
+        "    if r == upper:\n        return r\n"
+        "    return rank_bareiss(rows)\n"
+    )
+    (tmp_path / "linalg.py").write_text(parent)
+    (tmp_path / "complexes.py").write_text("from . import linalg\nrank = linalg.rank_bareiss\n")
+    assert _bareiss_on_the_path(tmp_path / "linalg.py") == [9]
+    assert _bareiss_on_the_path(tmp_path / "complexes.py") == ["named"]
+
+
+def test_no_package_module_reaches_bareiss():
+    linalg = ast.parse((MODULES[0].parent / "linalg.py").read_text())
+    assert "rank_bareiss" in {node.name for node in linalg.body if isinstance(node, ast.FunctionDef)}
+    assert {p.name: _bareiss_on_the_path(p) for p in MODULES if _bareiss_on_the_path(p)} == {}
