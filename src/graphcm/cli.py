@@ -12,10 +12,12 @@ Exit codes: 0 success / predicate true, 1 predicate false, 2 errors
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import enumeration, families, graphio, recognition
-from .complexes import DEFAULT_FIELDS, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph, parse_fields
+from .complexes import DEFAULT_FIELDS, betti_profile, from_facet_list, is_cm, parse_fields
+from .complexes import is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .graph import Graph, GraphInputError, INFINITY
 from .independence import is_w2, is_well_covered
@@ -53,18 +55,20 @@ def _write_out(args, text: str):
         sys.stdout.write(text)
 
 
-def _emit_graph(g: Graph, fmt: str) -> str:
-    if fmt == "g6":
-        return graphio.to_graph6(g) + "\n"
-    if fmt == "edges":
-        return graphio.to_edge_list(g)
-    if fmt == "dot":
-        return graphio.to_dot(g)
-    # human; argparse admits only these four formats
+def _human(g: Graph) -> str:
     girth = g.girth()
     lines = [f"n: {g.n}", f"m: {g.m}", f"girth: {'infinity' if girth is INFINITY else girth}"]
     lines += [f"edge: {u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
+
+
+# output format name -> writer; the choices of gen --format and convert --to
+_WRITERS = {
+    "g6": lambda g: graphio.to_graph6(g) + "\n",
+    "edges": graphio.to_edge_list,
+    "dot": graphio.to_dot,
+    "human": _human,
+}
 
 
 def _cmd_analyze(args) -> int:
@@ -75,8 +79,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_complex(args) -> int:
-    from .complexes import betti_profile, from_facet_list, is_cm
-
     with open(args.facets, "r", encoding="utf-8") as fh:
         delta = from_facet_list(fh.read())
     lines = [
@@ -94,41 +96,47 @@ def _cmd_complex(args) -> int:
     return 0
 
 
-_PREDICATES = ("well-covered", "w2", "vd", "cm", "gorenstein", "doubly-cm", "sqc", "sc", "pc", "t3", "block-cactus", "cactus", "square-cm")
+def _plain(predicate):
+    return lambda g, fields: (predicate(g), None)
+
+
+def _over_fields(predicate):
+    return lambda g, fields: (all(predicate(g, f) for f in fields), None)
+
+
+def _certified(verdict, certificate):
+    return verdict, certificate.to_text() if certificate else None
+
+
+def _recognized(recognize):
+    def check(g, fields):
+        certificate = recognize(g)
+        return _certified(certificate is not None, certificate)
+
+    return check
+
+
+# check predicate name -> (graph, fields) -> (verdict, certificate text or None)
+_CHECKS = {
+    "well-covered": _plain(is_well_covered),
+    "w2": _plain(is_w2),
+    "vd": lambda g, fields: _certified(*is_vertex_decomposable(g, want_certificate=True)),
+    "cm": _over_fields(is_cm_graph),
+    "gorenstein": _over_fields(is_gorenstein_graph),
+    "doubly-cm": _over_fields(is_doubly_cm_graph),
+    "sqc": _recognized(recognition.recognize_sqc),
+    "sc": _recognized(recognition.recognize_sc),
+    "pc": _recognized(recognition.recognize_pc),
+    "t3": _plain(recognition.t3_partition_condition),
+    "block-cactus": _plain(recognition.is_block_cactus),
+    "cactus": _plain(recognition.is_cactus),
+    "square-cm": _over_fields(recognition.square_cm_criterion),
+}
 
 
 def _cmd_check(args) -> int:
-    g = _read_graph(args)
-    fields = _fields(args)
-    name = args.predicate
-    certificate = None
-    if name == "well-covered":
-        verdict = is_well_covered(g)
-    elif name == "w2":
-        verdict = is_w2(g)
-    elif name == "vd":
-        verdict, certificate = is_vertex_decomposable(g, want_certificate=True)
-        certificate = certificate.to_text() if certificate else None
-    elif name == "cm":
-        verdict = all(is_cm_graph(g, f) for f in fields)
-    elif name == "gorenstein":
-        verdict = all(is_gorenstein_graph(g, f) for f in fields)
-    elif name == "doubly-cm":
-        verdict = all(is_doubly_cm_graph(g, f) for f in fields)
-    elif name in ("sqc", "sc", "pc"):
-        rec = {"sqc": recognition.recognize_sqc, "sc": recognition.recognize_sc, "pc": recognition.recognize_pc}[name]
-        cert = rec(g)
-        verdict = cert is not None
-        certificate = cert.to_text() if cert else None
-    elif name == "t3":
-        verdict = recognition.t3_partition_condition(g)
-    elif name == "block-cactus":
-        verdict = recognition.is_block_cactus(g)
-    elif name == "cactus":
-        verdict = recognition.is_cactus(g)
-    else:  # square-cm; argparse admits only the names in _PREDICATES
-        verdict = all(recognition.square_cm_criterion(g, f) for f in fields)
-    print(f"{name}: {'true' if verdict else 'false'}")
+    verdict, certificate = _CHECKS[args.predicate](_read_graph(args), _fields(args))
+    print(f"{args.predicate}: {'true' if verdict else 'false'}")
     if certificate:
         print(certificate.rstrip("\n"))
     return 0 if verdict else 1
@@ -143,24 +151,17 @@ def _cmd_gen(args) -> int:
         if args.n is not None:
             raise GraphInputError("an index is only valid for families G and H")
         g = families.catalog(args.family)
-    _write_out(args, _emit_graph(g, args.format))
+    _write_out(args, _WRITERS[args.format](g))
     return 0
 
 
+# one flag per filter field: --min-girth N for min_girth, --planar-only for planar_only
+_FILTERS = dataclasses.fields(enumeration.EnumFilter)
+
+
 def _cmd_enumerate(args) -> int:
-    filt = enumeration.EnumFilter(
-        min_girth=args.min_girth,
-        max_girth=args.max_girth,
-        forbid_c4=args.forbid_c4,
-        forbid_c5=args.forbid_c5,
-        planar_only=args.planar_only,
-        block_cactus_only=args.block_cactus_only,
-        cactus_only=args.cactus_only,
-    )
-    if args.upto:
-        stream = enumeration.enumerate_connected_upto(args.n, filt)
-    else:
-        stream = enumeration.enumerate_connected(args.n, filt)
+    filt = enumeration.EnumFilter(**{f.name: getattr(args, f.name) for f in _FILTERS})
+    stream = (enumeration.enumerate_connected_upto if args.upto else enumeration.enumerate_connected)(args.n, filt)
     lines = [graphio.to_graph6(g) for g in stream]
     _write_out(args, "\n".join(lines) + ("\n" if lines else ""))
     return 0
@@ -185,8 +186,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    g = _read_graph(args)
-    _write_out(args, _emit_graph(g, args.to))
+    _write_out(args, _WRITERS[args.to](_read_graph(args)))
     return 0
 
 
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_complex)
 
     p = sub.add_parser("check", help="decide one predicate; exit 0 true, 1 false, 2 error")
-    p.add_argument("predicate", choices=_PREDICATES)
+    p.add_argument("predicate", choices=_CHECKS)
     _add_input_options(p)
     p.add_argument("--fields")
     p.set_defaults(func=_cmd_check)
@@ -215,20 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a family member or catalog graph")
     p.add_argument("family", help="G, H, or a catalog name such as C7, T10, paw")
     p.add_argument("n", nargs="?", type=int)
-    p.add_argument("--format", default="g6", choices=("g6", "edges", "dot", "human"))
+    p.add_argument("--format", default="g6", choices=_WRITERS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("enumerate", help="graph6 stream of connected graphs on n vertices")
     p.add_argument("n", type=int)
     p.add_argument("--upto", action="store_true", help="include all sizes 1..n")
-    p.add_argument("--min-girth", type=int, dest="min_girth")
-    p.add_argument("--max-girth", type=int, dest="max_girth")
-    p.add_argument("--forbid-c4", action="store_true")
-    p.add_argument("--forbid-c5", action="store_true")
-    p.add_argument("--planar-only", action="store_true")
-    p.add_argument("--block-cactus-only", action="store_true")
-    p.add_argument("--cactus-only", action="store_true")
+    for f in _FILTERS:
+        kind = {"action": "store_true"} if f.default is False else {"type": int}
+        p.add_argument("--" + f.name.replace("_", "-"), **kind)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -245,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between graph formats")
     _add_input_options(p)
-    p.add_argument("--format", "--to", dest="to", default="g6", choices=("g6", "edges", "dot", "human"))
+    p.add_argument("--format", "--to", dest="to", default="g6", choices=_WRITERS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_convert)
 
@@ -260,10 +256,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except GraphInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (GraphInputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,8 @@ The edge-list format is ``n`` on the first line and one ``u v`` pair of
 0-based vertex numbers per following line; blank lines and ``#`` comments
 are ignored.  The writer additionally records non-default vertex labels in
 ``# vertex i label`` comment lines, which this module's reader recovers and
-any plain reader skips as comments.
+any plain reader skips as comments; it refuses a label that the reader could
+not recover (empty, with a line break, or with outer whitespace).
 """
 
 from __future__ import annotations
@@ -127,7 +128,10 @@ def to_edge_list(g: Graph) -> str:
     lines = [str(g.n)]
     if any(lbl != i for i, lbl in enumerate(g.labels)):
         for i, lbl in enumerate(g.labels):
-            lines.append(f"# vertex {i} {lbl}")
+            text = str(lbl)
+            if text != text.strip() or text.splitlines() != [text]:
+                raise GraphInputError(f"vertex label {text!r} cannot be written to an edge list")
+            lines.append(f"# vertex {i} {text}")
     for i in range(g.n):
         for j in bits(g.adj[i]):
             if j > i:
@@ -144,7 +148,7 @@ def from_edge_list(text: str) -> Graph:
         if not s:
             continue
         if s.startswith("#"):
-            parts = s[1:].split()
+            parts = s[1:].split(maxsplit=2)
             if len(parts) == 3 and parts[0] == "vertex" and parts[1].isdigit():
                 names[int(parts[1])] = parts[2]
             continue
@@ -182,10 +186,11 @@ def read_edge_list_file(path) -> Graph:
 
 
 def to_dot(g: Graph, name: str = "G") -> str:
+    escape = str.maketrans({"\\": "\\\\", '"': '\\"'})  # inside quoted IDs
     lines = [f"graph {name} {{"]
     for lbl in g.labels:
-        lines.append(f'  "{lbl}";')
+        lines.append(f'  "{str(lbl).translate(escape)}";')
     for u, v in g.edges():
-        lines.append(f'  "{u}" -- "{v}";')
+        lines.append(f'  "{str(u).translate(escape)}" -- "{str(v).translate(escape)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

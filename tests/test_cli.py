@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -7,9 +9,11 @@ import pytest
 import graphcm
 from graphcm import recognition
 from graphcm.cli import main
-from graphcm.complexes import DEFAULT_FIELDS, is_doubly_cm_graph, is_gorenstein_graph
-from graphcm.graph import Graph, cycle_graph, path_graph
-from graphcm.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
+from graphcm.complexes import DEFAULT_FIELDS, is_cm_graph, is_doubly_cm_graph, is_gorenstein_graph
+from graphcm.decomposability import is_vertex_decomposable
+from graphcm.enumeration import EnumFilter, enumerate_connected_upto
+from graphcm.graph import Graph, GraphInputError, cycle_graph, path_graph
+from graphcm.graphio import from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
 from graphcm.families import catalog, gen_G
 from graphcm.independence import is_w2, is_well_covered
 
@@ -91,6 +95,90 @@ def test_check_matches_library(capsys, predicate):
     assert verdicts == {True, False}
 
 
+def _found(certificate):
+    return certificate is not None, certificate
+
+
+# the predicates that print a certificate, take fields, or refuse some graphs
+_LIBRARY_WITH_CERTIFICATES = {
+    "vd": lambda g: is_vertex_decomposable(g, want_certificate=True),
+    "cm": lambda g: (all(is_cm_graph(g, f) for f in DEFAULT_FIELDS), None),
+    "sqc": lambda g: _found(recognition.recognize_sqc(g)),
+    "sc": lambda g: _found(recognition.recognize_sc(g)),
+    "pc": lambda g: _found(recognition.recognize_pc(g)),
+    "square-cm": lambda g: (all(recognition.square_cm_criterion(g, f) for f in DEFAULT_FIELDS), None),
+}
+
+
+@pytest.mark.parametrize("predicate", list(_LIBRARY_WITH_CERTIFICATES))
+def test_check_prints_the_library_verdict_and_certificate(capsys, predicate):
+    verdicts = set()
+    for g in (cycle_graph(5), path_graph(4), cycle_graph(4), gen_G(3), catalog("paw")):
+        g = from_graph6(to_graph6(g))  # certificates name vertices as the CLI reads them
+        code, out, err = run(capsys, "check", predicate, "--g6", to_graph6(g))
+        try:
+            want, certificate = _LIBRARY_WITH_CERTIFICATES[predicate](g)
+        except GraphInputError as e:  # square-cm on the paw, which has a triangle
+            assert (code, out, err) == (2, "", f"error: {e}\n"), g
+            continue
+        text = certificate.to_text().rstrip("\n") + "\n" if certificate else ""
+        assert (code, out) == (0 if want else 1, f"{predicate}: {'true' if want else 'false'}\n{text}"), g
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+_CHECK_NAMES = ["well-covered", "w2", "vd", "cm", "gorenstein", "doubly-cm", "sqc", "sc", "pc", "t3", "block-cactus", "cactus", "square-cm"]
+
+
+def test_every_check_predicate_is_compared_with_the_library():
+    assert sorted([*_LIBRARY, *_LIBRARY_WITH_CERTIFICATES]) == sorted(_CHECK_NAMES)
+
+
+def _help(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    return out, re.findall(r"^  (-[^\s,]+)", out, flags=re.M)
+
+
+def test_help_lists_the_choices_and_flags_in_order(capsys):
+    out, flags = _help(capsys, "check")
+    assert "\n  {" + ",".join(_CHECK_NAMES) + "}\n" in out
+    assert flags == ["-h", "--g6", "--edges", "--input", "--fields"]
+    out, flags = _help(capsys, "gen")
+    assert "\n  --format {g6,edges,dot,human}\n" in out
+    assert flags == ["-h", "--format", "--out"]
+    out, flags = _help(capsys, "convert")
+    assert "\n  --format {g6,edges,dot,human}, --to {g6,edges,dot,human}\n" in out
+    assert flags == ["-h", "--g6", "--edges", "--input", "--format", "--out"]
+    out, flags = _help(capsys, "enumerate")
+    assert "\n  --min-girth MIN_GIRTH\n  --max-girth MAX_GIRTH\n" in out
+    assert flags == [
+        "-h", "--upto", "--min-girth", "--max-girth", "--forbid-c4", "--forbid-c5",
+        "--planar-only", "--block-cactus-only", "--cactus-only", "--out",
+    ]
+
+
+def _human(g):
+    lines = [f"n: {g.n}", f"m: {g.m}", f"girth: {g.girth()}"] + [f"edge: {u} {v}" for u, v in g.edges()]
+    return "".join(ln + "\n" for ln in lines)
+
+
+_WRITTEN = {"g6": lambda g: to_graph6(g) + "\n", "edges": to_edge_list, "dot": to_dot, "human": _human}
+
+
+@pytest.mark.parametrize("fmt", list(_WRITTEN))
+def test_gen_and_convert_write_each_format_as_the_library_does(capsys, tmp_path, fmt):
+    g = gen_G(3)
+    path = tmp_path / "g3.edges"
+    path.write_text(to_edge_list(g))
+    for argv, read in (
+        (["convert", "--edges", str(path), "--to", fmt], g),
+        (["convert", "--g6", to_graph6(g), "--format", fmt], from_graph6(to_graph6(g))),
+        (["gen", "G", "3", "--format", fmt], g),
+    ):
+        assert run(capsys, *argv)[:2] == (0, _WRITTEN[fmt](read)), argv
+
+
 def test_check_reads_the_first_graph_of_an_input_file(capsys, tmp_path):
     path = tmp_path / "two.g6"
     path.write_text(to_graph6(cycle_graph(5)) + "\n" + to_graph6(cycle_graph(4)) + "\n")
@@ -135,6 +223,29 @@ def test_enumerate_stream(capsys):
     assert len(out.strip().splitlines()) == 2
     code, out, _ = run(capsys, "enumerate", "3", "--upto")
     assert len(out.strip().splitlines()) == 4
+
+
+_FILTER_FLAGS = [
+    (["--min-girth", "4"], {"min_girth": 4}),
+    (["--max-girth", "4"], {"max_girth": 4}),
+    (["--forbid-c4"], {"forbid_c4": True}),
+    (["--forbid-c5"], {"forbid_c5": True}),
+    (["--planar-only"], {"planar_only": True}),
+    (["--block-cactus-only"], {"block_cactus_only": True}),
+    (["--cactus-only"], {"cactus_only": True}),
+]
+
+
+@pytest.mark.parametrize("flags, field", _FILTER_FLAGS, ids=[flags[0] for flags, _ in _FILTER_FLAGS])
+def test_enumerate_flag_sets_its_filter_field(capsys, flags, field):
+    code, out, _ = run(capsys, "enumerate", "6", "--upto", *flags)
+    want = [to_graph6(g) for g in enumerate_connected_upto(6, EnumFilter(**field))]
+    assert (code, out.splitlines()) == (0, want)
+    assert len(want) < sum(1 for _ in enumerate_connected_upto(6, EnumFilter()))
+
+
+def test_every_filter_field_has_a_flag():
+    assert [name for _, field in _FILTER_FLAGS for name in field] == [f.name for f in dataclasses.fields(EnumFilter)]
 
 
 def test_enumerate_output_is_reproducible():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from conftest import graphs, to_nx
 
 from graphcm import graphio
-from graphcm.graph import Graph, UnsupportedSizeError, complete_graph, cycle_graph
+from graphcm.graph import Graph, GraphInputError, UnsupportedSizeError, complete_graph, cycle_graph
 from graphcm.graphio import ParseError, from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
 from graphcm.families import catalog, gen_G
 
@@ -88,6 +88,33 @@ def test_dot_export_mentions_everything():
     assert dot.startswith("graph G {")
     for u, v in g.edges():
         assert f'"{u}" -- "{v}";' in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    g = Graph.from_edges(['a"b', "c\\d", "e"], [('a"b', "c\\d"), ("c\\d", "e")])
+    assert to_dot(g).splitlines()[1:] == [
+        '  "a\\"b";',
+        '  "c\\\\d";',
+        '  "e";',
+        '  "a\\"b" -- "c\\\\d";',
+        '  "c\\\\d" -- "e";',
+        "}",
+    ]
+
+
+def test_edge_list_labels_with_spaces_round_trip():
+    g = Graph.from_edges(["a b", "c", "x y z"], [("a b", "c"), ("c", "x y z")])
+    text = to_edge_list(g)
+    assert "# vertex 2 x y z\n" in text
+    back = from_edge_list(text)
+    assert back.labels == g.labels and back.adj == g.adj
+
+
+@pytest.mark.parametrize("label", [" a", "a ", "a\nb", "a\rb", "a\u2028b", ""])
+def test_edge_list_writer_refuses_a_label_it_cannot_read_back(label):
+    g = Graph.from_edges([label, "ok"], [(label, "ok")])
+    with pytest.raises(GraphInputError, match="cannot be written"):
+        to_edge_list(g)
 
 
 def test_graph6_file_round_trip(tmp_path):
