@@ -30,11 +30,15 @@ definitions and serve as oracles.  Graphs have their own entry points
 at graph level: the link of a face F in Delta(G) is Delta(G minus N[F]),
 again an independence complex.  These recursions walk one process-wide
 table of isomorphism classes of connected graphs keyed by canonical form
-(``_PROFILE_CACHE``).  A class record holds its children, the distinct
-classes of the components of G minus N[v] over the vertices v, found once
-and then followed by reference; the graphs G minus v and the edge punches,
-each as the tuple of its components' classes, for doubly-CM and the square
-criterion; its purity; its independence number; its vertices' shedding
+(``_PROFILE_CACHE``).  A class record holds one memo of its punched
+graphs, ``minus``: a vertex mask maps to the classes of the components of
+G minus the mask, with multiplicity, made once by ``_minus`` and then
+followed by reference.  The children of the link recursions (the distinct
+classes of G minus N[v] over the vertices v), the graphs G minus v for
+doubly CM, the edge punches G minus N(x) | N(y) for the square criterion
+and both branches of the vertex-decomposability search all read it, so a
+punch is made once, whichever test reaches it first.  The record also
+holds its purity; its independence number; its vertices' shedding
 verdicts; its vertex-decomposability verdict (``decomposability``); and
 per characteristic its Betti numbers, its Reisner verdict and its Stanley
 verdict.  A second field, the other engine or another entry point on a
@@ -474,25 +478,22 @@ class _Class:
 
     ``graph`` is the first member seen; ``orbit`` maps each of its vertices
     to the least vertex of its orbit under the automorphisms its canonical
-    search stored; ``children`` are the distinct classes of the components
-    of its graphs minus N[v]; ``deletions`` and ``edge_punches`` are its
-    distinct graphs minus v and minus N(x) | N(y) for an edge xy, each as
-    the tuple of its components' classes, since alpha sums over them with
-    multiplicity; ``deletions`` is built only for W2 classes that are not
-    Gorenstein*, the only ones whose doubly-CM verdict needs them;
-    ``pure`` is well-coveredness; ``alpha`` the independence number;
-    ``sheds`` is an int with bit 2v set once v's shedding test ran and bit
-    2v + 1 if v sheds; ``shed`` the canonical position in ``graph`` of the
-    shedding vertex the vertex-decomposability search chose, or -1
-    (``decomposability``); ``betti``, ``cm`` and ``gor`` map a
-    characteristic to the reduced Betti numbers, the Reisner verdict and
-    the Gorenstein* verdict."""
+    search stored; ``minus`` maps a vertex mask to the tuple of the
+    component classes of ``graph`` minus the mask, with multiplicity
+    (``_minus``): the punches N[v] of the link recursions and of the
+    vertex-decomposability search, the deletions v and the edge punches
+    N(x) | N(y), each made once and read through ``_children``,
+    ``_deletions`` and ``_edge_punches``; ``pure`` is well-coveredness;
+    ``alpha`` the independence number; ``sheds`` is an int with bit 2v set
+    once v's shedding test ran and bit 2v + 1 if v sheds; ``shed`` the
+    canonical position in ``graph`` of the shedding vertex the
+    vertex-decomposability search chose, or -1 (``decomposability``);
+    ``betti``, ``cm`` and ``gor`` map a characteristic to the reduced Betti
+    numbers, the Reisner verdict and the Gorenstein* verdict."""
 
     graph: Graph
     orbit: bytes | None = None
-    children: tuple | None = None
-    deletions: tuple | None = None
-    edge_punches: tuple | None = None
+    minus: dict = dc_field(default_factory=dict)
     pure: bool | None = None
     alpha: int | None = None
     shed: int | None = None
@@ -560,29 +561,27 @@ def _reps(rec: _Class) -> list:
     return [v for v, r in enumerate(_orbit(rec)) if v == r]
 
 
-def _punches(g: Graph, removed) -> tuple:
-    """The distinct graphs g minus each mask of ``removed``, each as its
-    tuple of parts."""
-    full = g.full_mask
-    return tuple(dict.fromkeys(_parts(g.keep_mask(full & ~mask)) for mask in dict.fromkeys(removed)))
+def _minus(rec: _Class, mask: int) -> tuple:
+    """The records of the components of rec's graph minus the vertex set
+    ``mask``, with multiplicity, since alpha sums over them."""
+    out = rec.minus.get(mask)
+    if out is None:
+        g = rec.graph
+        out = rec.minus[mask] = _parts(g.keep_mask(g.full_mask & ~mask))
+    return out
 
 
 def _children(rec: _Class) -> tuple:
     """The distinct component classes of g minus N[v] over the vertices v
     of g, from one v per orbit: an automorphism carrying v to w carries g
     minus N[v] onto g minus N[w]."""
-    if rec.children is None:
-        adj = rec.graph.adj
-        punches = _punches(rec.graph, [adj[v] | 1 << v for v in _reps(rec)])
-        rec.children = tuple(dict.fromkeys(itertools.chain.from_iterable(punches)))
-    return rec.children
+    adj = rec.graph.adj
+    return tuple(dict.fromkeys(c for v in _reps(rec) for c in _minus(rec, adj[v] | 1 << v)))
 
 
 def _deletions(rec: _Class) -> tuple:
     """The distinct graphs g minus v, from one v per orbit."""
-    if rec.deletions is None:
-        rec.deletions = _punches(rec.graph, [1 << v for v in _reps(rec)])
-    return rec.deletions
+    return tuple(dict.fromkeys(_minus(rec, 1 << v) for v in _reps(rec)))
 
 
 def _edge_punches(rec: _Class) -> tuple:
@@ -591,13 +590,11 @@ def _edge_punches(rec: _Class) -> tuple:
     whose orbit has the smaller name: an automorphism carrying x to that
     name carries the edge onto one from a name to a vertex whose orbit's
     name is no smaller, so those edges are enough."""
-    if rec.edge_punches is None:
-        adj = rec.graph.adj
-        orbit = _orbit(rec)
-        rec.edge_punches = _punches(
-            rec.graph, [adj[x] | adj[y] for x in _reps(rec) for y in bits(adj[x]) if orbit[y] >= x]
-        )
-    return rec.edge_punches
+    adj = rec.graph.adj
+    orbit = _orbit(rec)
+    return tuple(
+        dict.fromkeys(_minus(rec, adj[x] | adj[y]) for x in _reps(rec) for y in bits(adj[x]) if orbit[y] >= x)
+    )
 
 
 def _pure(rec: _Class) -> bool:

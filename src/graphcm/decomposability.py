@@ -9,7 +9,10 @@ search runs on the class records of the components with an edge
 vertex per automorphism orbit, by descending degree: an automorphism
 carrying v to w carries the shedding condition, G minus v and G minus
 N[v] along, so the verdict is that of a search over every vertex.  The
-record keeps each vertex's shedding test (``complexes._sheds``) for W2 too.
+record keeps each vertex's shedding test (``complexes._sheds``) for W2 too,
+and the search reads its punches G minus v and G minus N[v] from the
+record's memo (``complexes._minus``), which the Reisner and Stanley
+recursions fill with the same G minus N[v].
 
 A record's ``shed`` is the canonical position in its graph of the shedding
 vertex its search chose, or -1.  Positions survive relabeling: isomorphic
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_order
-from .complexes import _PROFILE_CACHE, _parts, _reps, _sheds, clear_caches
+from .complexes import _PROFILE_CACHE, _minus, _parts, _reps, _sheds, clear_caches
 from .graph import Graph
 from .graphio import to_graph6
 from .independence import _is_shedding
@@ -71,7 +74,7 @@ def is_vertex_decomposable(g: Graph, want_certificate: bool = False):
     """Decide vertex decomposability: (verdict, SheddingCertificate or
     None).  The order candidates are tried in picks the certificate, never
     the verdict."""
-    ok = _vd_parts(g)
+    ok = all(_vd(p) for p in _parts(g) if p.graph.n > 1)
     cert = None
     if ok and want_certificate:
         steps = {}
@@ -80,20 +83,16 @@ def is_vertex_decomposable(g: Graph, want_certificate: bool = False):
     return ok, cert
 
 
-def _vd_parts(g: Graph) -> bool:
-    return all(_vd(p) for p in _parts(g) if p.graph.n > 1)
-
-
 def _vd(rec) -> bool:
     if rec.shed is None:
         rec.shed = -1
-        g = rec.graph
-        for i in sorted(_reps(rec), key=lambda i: -g.adj[i].bit_count()):
-            # g minus v, then g minus N[v]
+        adj = rec.graph.adj
+        for i in sorted(_reps(rec), key=lambda i: -adj[i].bit_count()):
+            # g minus v, then g minus N[v]; a K1 part is a simplex
             if _sheds(rec, i) and all(
-                _vd_parts(g.keep_mask(g.full_mask & ~mask)) for mask in (1 << i, g.adj[i] | 1 << i)
+                _vd(p) for mask in (1 << i, adj[i] | 1 << i) for p in _minus(rec, mask) if p.graph.n > 1
             ):
-                rec.shed = canonical_order(g).index(i)
+                rec.shed = canonical_order(rec.graph).index(i)
                 break
     return rec.shed >= 0
 

@@ -544,6 +544,8 @@ def verify_theorem(
     if workers < 1:
         raise GraphInputError(f"workers must be at least 1, got {workers}")
     chars = tuple(map(_char, fields))
+    if not chars:
+        raise GraphInputError("empty field list")
     start = time.monotonic()
     notes = [desc]
 

@@ -9,7 +9,9 @@ The edge-list format is ``n`` on the first line and one ``u v`` pair of
 are ignored.  The writer additionally records non-default vertex labels in
 ``# vertex i label`` comment lines, which this module's reader recovers and
 any plain reader skips as comments; it refuses a label that the reader could
-not recover (empty, with a line break, or with outer whitespace).
+not recover (empty, with a line break, or with outer whitespace) and two
+labels with the same text, such as ``1`` and ``"1"``.  Recorded labels come
+back as text: the labels ``[1, 0, "a"]`` come back as ``("1", "0", "a")``.
 """
 
 from __future__ import annotations
@@ -127,10 +129,14 @@ def read_graph6_file(path) -> list:
 def to_edge_list(g: Graph) -> str:
     lines = [str(g.n)]
     if any(lbl != i for i, lbl in enumerate(g.labels)):
+        written = {}
         for i, lbl in enumerate(g.labels):
             text = str(lbl)
             if text != text.strip() or text.splitlines() != [text]:
                 raise GraphInputError(f"vertex label {text!r} cannot be written to an edge list")
+            if text in written:
+                raise GraphInputError(f"vertex labels {written[text]!r} and {lbl!r} are both written {text!r}")
+            written[text] = lbl
             lines.append(f"# vertex {i} {text}")
     for i in range(g.n):
         for j in bits(g.adj[i]):

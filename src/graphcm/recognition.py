@@ -192,15 +192,9 @@ def is_simplicial_graph(g: Graph) -> bool:
 
 def basic_3_cycles(g: Graph) -> list:
     """Triangles containing at least one vertex of degree two, oriented
-    and in lexicographic order."""
-    adj = g.adj
-    found = set()
-    for v, row in enumerate(adj):
-        if row.bit_count() == 2:
-            a, b = bits(row)
-            if adj[a] >> b & 1:
-                found.add(_oriented((v, a, b)))
-    return [_labelled(g, cyc) for cyc in sorted(found)]
+    and in lexicographic order: such a triangle is N[x] for a simplicial
+    vertex x of degree two, so these are the 3-vertex simplexes."""
+    return [_labelled(g, cyc) for cyc in sorted(bits(m) for m, _, _ in _pieces(g.adj, "S") if m.bit_count() == 3)]
 
 
 def basic_5_cycles(g: Graph) -> list:

@@ -553,6 +553,26 @@ def test_orbit_representatives_meet_every_punch(g):
     assert all(r.graph.n and r.graph.is_connected() for r in complexes._PROFILE_CACHE.values())
 
 
+def test_vertex_decomposability_reads_the_reisner_punches():
+    # the Reisner recursion made G minus N[v] at one vertex per orbit of each
+    # class it read the children of; the VD search finds them on the records
+    from graphcm.decomposability import is_vertex_decomposable
+
+    complexes.clear_caches()
+    g = gen_G(4)
+    assert is_cm_graph(g, 0)
+    visited = [(rec, set(rec.minus)) for rec in complexes._PROFILE_CACHE.values() if rec.cm.get(0)]
+    assert is_vertex_decomposable(g)[0]
+    added = 0
+    for rec, before in visited:
+        closed = {row | 1 << v for v, row in enumerate(rec.graph.adj)}
+        new = set(rec.minus) - before
+        assert not new & closed, rec.graph
+        added += len(new)
+    # the search made its own G minus v on these records
+    assert added
+
+
 def test_second_field_doubly_cm_needs_no_search(monkeypatch):
     from graphcm import canon, independence
     from graphcm.families import gen_H

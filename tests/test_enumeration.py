@@ -317,6 +317,22 @@ def test_verify_checks_the_cap_before_generating(monkeypatch):
         verify_theorem("T1", n_max=enumeration.HARD_CAP + 1)
 
 
+def test_verify_refuses_an_empty_field_list(monkeypatch):
+    # with no field, "CM over every field" holds vacuously and the suite
+    # would test nothing homological
+    from graphcm import enumeration
+    from graphcm.graph import GraphInputError
+
+    def refuse(*args):
+        raise AssertionError("a level was generated")
+
+    monkeypatch.setattr(enumeration, "_level", refuse)
+    for tid in theorem_ids():
+        for fields in ((), []):
+            with pytest.raises(GraphInputError, match="empty field list"):
+                verify_theorem(tid, n_max=6, fields=fields)
+
+
 def test_family_members_have_5k_minus_5_edges_under_any_labelling():
     from graphcm.enumeration import _is_family_member
 

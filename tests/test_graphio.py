@@ -117,6 +117,19 @@ def test_edge_list_writer_refuses_a_label_it_cannot_read_back(label):
         to_edge_list(g)
 
 
+def test_edge_list_writer_refuses_two_labels_with_the_same_text():
+    g = Graph.from_edges([1, "1", 2], [(1, "1")])
+    with pytest.raises(GraphInputError, match="both written '1'"):
+        to_edge_list(g)
+
+
+def test_edge_list_labels_come_back_as_text():
+    g = Graph.from_edges([1, 0, "a"], [(1, 0), (0, "a")])
+    back = from_edge_list(to_edge_list(g))
+    assert back.labels == ("1", "0", "a")
+    assert back.adj == g.adj
+
+
 def test_graph6_file_round_trip(tmp_path):
     gs = [cycle_graph(5), complete_graph(3), Graph.empty(2)]
     path = tmp_path / "zoo.g6"

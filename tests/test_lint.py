@@ -209,11 +209,11 @@ def test_the_benchmark_reset_empties_every_module_cache():
 # -- the exact reference rank stays off the program's path ---------------------
 
 
-def _calls_of(source: str, name: str) -> list:
-    """Lines of the calls of ``name``, plain or as an attribute."""
+def _calls_of(tree, name: str) -> list:
+    """Lines of the calls of ``name``, plain or as an attribute, in the tree."""
     return sorted(
         node.lineno
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
     )
@@ -222,10 +222,10 @@ def _calls_of(source: str, name: str) -> list:
 def _bareiss_on_the_path(path: Path) -> list:
     """Where a package module reaches rank_bareiss: linalg may define it
     but not call it, and no other module may name it."""
-    source = path.read_text()
+    tree = ast.parse(path.read_text())
     if path.name == "linalg.py":
-        return _calls_of(source, "rank_bareiss")
-    return ["named"] if _names(ast.parse(source))["rank_bareiss"] else []
+        return _calls_of(tree, "rank_bareiss")
+    return ["named"] if _names(tree)["rank_bareiss"] else []
 
 
 def test_detector_flags_a_call_of_bareiss(tmp_path):
@@ -248,3 +248,42 @@ def test_no_package_module_reaches_bareiss():
     linalg = ast.parse((MODULES[0].parent / "linalg.py").read_text())
     assert "rank_bareiss" in {node.name for node in linalg.body if isinstance(node, ast.FunctionDef)}
     assert {p.name: _bareiss_on_the_path(p) for p in MODULES if _bareiss_on_the_path(p)} == {}
+
+
+# -- one builder of punched graphs per module -----------------------------------
+
+
+# Graph.keep_mask and the Graph methods that punch through it
+PUNCHES = ("keep_mask", "delete_vertices", "punch_closed", "punch_edge")
+
+
+def _punchers(source: str) -> list:
+    """The module-level definitions that punch a graph, in source order."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if hasattr(node, "name") and any(_calls_of(node, name) for name in PUNCHES)
+    ]
+
+
+def test_detector_names_the_callers_of_keep_mask():
+    # the VD search that punched its own G minus v and G minus N[v]
+    parent = (
+        "def _vd_parts(g):\n    return all(_vd(p) for p in _parts(g))\n"
+        "def _vd(rec):\n"
+        "    g = rec.graph\n"
+        "    return all(_vd_parts(g.keep_mask(g.full_mask & ~m)) for m in (1, 3))\n"
+        "def _walk(g):\n    return [_walk(g.keep_mask(m)) for m in g.component_masks()]\n"
+        "def _children(rec):\n    return _parts(rec.graph.punch_closed(0))\n"
+        "class C:\n    def f(self, g):\n        return g.keep_mask(1)\n"
+    )
+    assert _punchers(parent) == ["_vd", "_walk", "_children", "C"]
+
+
+def test_complexes_minus_alone_punches_the_class_records():
+    # the records' punches are made in complexes._minus (over _parts, which
+    # splits a graph into components); the VD search reads them there, and
+    # only the certificate replay, which trusts no table, punches its own
+    package = MODULES[0].parent
+    assert _punchers((package / "complexes.py").read_text()) == ["_parts", "_minus"]
+    assert _punchers((package / "decomposability.py").read_text()) == ["_walk"]
