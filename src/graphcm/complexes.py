@@ -108,7 +108,7 @@ from dataclasses import dataclass, field as dc_field
 from . import canon, linalg
 from .canon import automorphisms, canonical_form
 from .graph import Graph, GraphInputError, bits
-from .independence import _is_shedding, _mis_masks, independence_number, is_well_covered
+from .independence import _is_shedding, _mis_masks, _nonadj, independence_number, is_well_covered
 
 
 def _char(field) -> int:
@@ -335,8 +335,7 @@ def _faces_by_card_from_complex(delta: SimplicialComplex):
 
 
 def _independent_masks_by_card(g: Graph):
-    full = g.full_mask
-    nonadj = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    nonadj = _nonadj(g)
     by_card = [[0]]
 
     def rec(cur, allowed, size):
@@ -347,7 +346,7 @@ def _independent_masks_by_card(g: Graph):
             by_card[size + 1].append(nxt)
             rec(nxt, allowed & nonadj[v] & ~((1 << (v + 1)) - 1), size + 1)
 
-    rec(0, full, 0)
+    rec(0, g.full_mask, 0)
     return [sorted(level) for level in by_card if level]
 
 
@@ -542,12 +541,10 @@ def _class_of(g: Graph) -> _Class:
     return rec
 
 
-def _parts(g: Graph) -> tuple:
-    """The records of g's components; none for the empty graph."""
-    comps = g.component_masks()
-    if len(comps) == 1:
-        return (_class_of(g),)
-    return tuple(_class_of(g.keep_mask(mask)) for mask in comps)
+def _parts(g: Graph, keep: int = -1) -> tuple:
+    """The records of the components of g restricted to the vertex mask
+    ``keep`` (all of g by default); none for an empty graph or mask."""
+    return tuple(map(_class_of, g.induced_components(keep)))
 
 
 def _orbit(rec: _Class) -> bytes:
@@ -563,11 +560,11 @@ def _reps(rec: _Class) -> list:
 
 def _minus(rec: _Class, mask: int) -> tuple:
     """The records of the components of rec's graph minus the vertex set
-    ``mask``, with multiplicity, since alpha sums over them."""
+    ``mask``, with multiplicity, since alpha sums over them.  Only the
+    components are built, so an empty punch builds nothing."""
     out = rec.minus.get(mask)
     if out is None:
-        g = rec.graph
-        out = rec.minus[mask] = _parts(g.keep_mask(g.full_mask & ~mask))
+        out = rec.minus[mask] = _parts(rec.graph, ~mask)
     return out
 
 

@@ -17,8 +17,9 @@ recursions fill with the same G minus N[v].
 A record's ``shed`` is the canonical position in its graph of the shedding
 vertex its search chose, or -1.  Positions survive relabeling: isomorphic
 graphs place corresponding vertices at equal canonical positions.  One
-walk (``_walk``) follows positions through components, G minus v and G
-minus N[v], and checks once per class that the vertex sheds.  Fed from
+walk (``_walk``) follows positions through the components of G minus v
+and G minus N[v], built from vertex masks, and checks once per class that
+the vertex sheds.  Fed from
 the table it writes a certificate; fed from a certificate it replays one.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .canon import canonical_order
 from .complexes import _PROFILE_CACHE, _minus, _parts, _reps, _sheds, clear_caches
-from .graph import Graph
+from .graph import Graph, bits
 from .graphio import to_graph6
 from .independence import _is_shedding
 
@@ -78,7 +79,7 @@ def is_vertex_decomposable(g: Graph, want_certificate: bool = False):
     cert = None
     if ok and want_certificate:
         steps = {}
-        _walk(g, lambda key: _PROFILE_CACHE[key].shed, steps)
+        _walk(g, g.full_mask, lambda key: _PROFILE_CACHE[key].shed, steps)
         cert = SheddingCertificate(to_graph6(g), tuple((key,) + step for key, step in steps.items()))
     return ok, cert
 
@@ -97,34 +98,33 @@ def _vd(rec) -> bool:
     return rec.shed >= 0
 
 
-def _walk(g: Graph, position, steps: dict) -> bool:
-    """Decompose g along the canonical positions ``position(form)`` gives
-    (None when it has none): True iff every step's vertex sheds and every
-    leaf is edgeless.  ``steps`` maps each class met to its graph6, shed
-    label and position; a class met again is done, since a false step ends
-    the walk and a class's subtrees hold only smaller graphs."""
-    if g.is_edgeless():
-        return True
-    comps = g.component_masks()
-    if len(comps) > 1:
-        return all(_walk(g.keep_mask(mask), position, steps) for mask in comps)
-    key = g.canonical_form()
-    if key in steps:
-        return True
-    pos = position(key)
-    if pos is None or not 0 <= pos < g.n:
-        return False
-    i = canonical_order(g)[pos]
-    if not _is_shedding(g, i):
-        return False
-    steps[key] = (to_graph6(g), g.labels[i], pos)
-    full = g.full_mask
-    return _walk(g.keep_mask(full & ~(1 << i)), position, steps) and _walk(
-        g.keep_mask(full & ~(g.adj[i] | 1 << i)), position, steps
-    )
+def _walk(g: Graph, keep: int, position, steps: dict) -> bool:
+    """Decompose the subgraph of g induced on the vertex mask keep along
+    the canonical positions ``position(form)`` gives (None when it has
+    none), component by component: True iff every step's vertex sheds and
+    every leaf is edgeless.  ``steps`` maps each class met to its graph6,
+    shed label and position; a class met again is done, since a false step
+    ends the walk and a class's subtrees hold only smaller graphs."""
+    if not any(g.adj[i] & keep for i in bits(keep)):
+        return True  # edgeless, so no component is built
+    for h in g.induced_components(keep):
+        key = h.n > 1 and h.canonical_form()
+        if not key or key in steps:
+            continue  # a K1, or a class already walked
+        pos = position(key)
+        if pos is None or not 0 <= pos < h.n:
+            return False
+        i = canonical_order(h)[pos]
+        if not _is_shedding(h, i):
+            return False
+        steps[key] = (to_graph6(h), h.labels[i], pos)
+        full = h.full_mask
+        if not (_walk(h, full & ~(1 << i), position, steps) and _walk(h, full & ~(h.adj[i] | 1 << i), position, steps)):
+            return False
+    return True
 
 
 def replay_certificate(g: Graph, cert: SheddingCertificate) -> bool:
     """Re-execute a certificate: the shedding condition must hold at every
     recorded step and every leaf must be edgeless."""
-    return _walk(g, cert.step_map().get, {})
+    return _walk(g, g.full_mask, cert.step_map().get, {})

@@ -83,7 +83,7 @@ from .canon import automorphisms, is_isomorphic
 from .complexes import DEFAULT_FIELDS, _char, is_cm_graph, is_gorenstein_graph
 from .decomposability import is_vertex_decomposable
 from .families import gen_G
-from .graph import Graph, GraphInputError, UnsupportedSizeError, bits
+from .graph import Graph, GraphInputError, UnsupportedSizeError, bits, components
 from .graphio import from_graph6, read_graph6_file, to_graph6
 from .independence import is_w2, is_well_covered
 from .planarity import is_planar
@@ -189,11 +189,10 @@ class EnumFilter:
                 for a in bits(b):
                     bridge[a] |= b & ~(1 << a)
         out = [1 << a for a in range(n)]
-        for a in range(n):
-            # the bridges alone form a forest: b is reachable over bridges
-            # from a iff the a-b path of g runs over bridges only
-            reach = _ball(bridge, a, n)
-            out += [1 << a | 1 << b for b in bits(reach >> (a + 1) << (a + 1))]
+        # the bridges alone form a forest: a and b lie in one of its trees
+        # iff the a-b path of g runs over bridges only
+        for tree in components(bridge, (1 << n) - 1):
+            out += [1 << a | 1 << b for a in bits(tree) for b in bits(tree >> (a + 1) << (a + 1))]
         if not self.cactus_only:
             out += [b for b in blocks if b.bit_count() >= 3 and g.is_clique(b)]
         return sorted(out)
@@ -206,15 +205,14 @@ class EnumFilter:
         return self.passes_hereditary(g)
 
 
-def _ball(adj, a: int, radius, within: int = -1) -> int:
-    """Mask of the vertices within distance radius of a over the rows adj,
-    walking only through the vertex mask within."""
+def _ball(adj, a: int, radius) -> int:
+    """Mask of the vertices within distance radius of a over the rows adj."""
     reach = frontier = 1 << a
     while frontier and radius > 0:
         nxt = 0
         for u in bits(frontier):
             nxt |= adj[u]
-        frontier = nxt & within & ~reach
+        frontier = nxt & ~reach
         reach |= frontier
         radius -= 1
     return reach
@@ -300,11 +298,7 @@ def _lead_rule(adj):
         dsum += [x + d for x in dsum]
     rows = []  # by falling degree, so a scan can stop below |S| - 1
     for u in sorted(range(n), key=deg.__getitem__, reverse=True):
-        rest, comps = ((1 << n) - 1) ^ 1 << u, []
-        while rest:
-            comps.append(_ball(adj, (rest & -rest).bit_length() - 1, n, rest))
-            rest ^= comps[-1]
-        rows.append((u, deg[u], dsum[adj[u]], adj[u], comps))
+        rows.append((u, deg[u], dsum[adj[u]], adj[u], components(adj, ((1 << n) - 1) ^ 1 << u)))
 
     def leads(mask):
         s = mask.bit_count()

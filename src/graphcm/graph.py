@@ -261,27 +261,22 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def component_masks(self) -> list:
-        """The components as vertex masks, in order of their least vertex."""
-        adj = self.adj
-        comps = []
-        left = self.full_mask
-        while left:
-            comp = frontier = left & -left
-            while frontier:  # one vertex at a time: the frontier grows while it is read
-                b = frontier & -frontier
-                new = adj[b.bit_length() - 1] & ~comp
-                comp |= new
-                frontier = (frontier ^ b) | new
-            comps.append(comp)
-            left &= ~comp
-        return comps
+    def component_masks(self, within: int = -1) -> list:
+        """The components of the subgraph induced on the vertex mask
+        ``within`` (all of g by default), as masks in order of least vertex."""
+        return components(self.adj, self.full_mask & within)
+
+    def induced_components(self, keep: int = -1) -> tuple:
+        """The components of the subgraph induced on the vertex mask
+        ``keep`` as graphs, each built by one ``keep_mask``: g itself when g
+        is connected and keep covers it, nothing when keep is empty."""
+        comps = self.component_masks(keep)
+        if comps == [self.full_mask]:
+            return (self,)
+        return tuple(map(self.keep_mask, comps))
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.component_masks()) == 1
-
-    def is_edgeless(self) -> bool:
-        return all(row == 0 for row in self.adj)
+        return len(self.component_masks()) <= 1
 
     # -- structural primitives ---------------------------------------------
 
@@ -400,6 +395,22 @@ class Graph:
 class BlockDecomposition:
     blocks: tuple
     cut_vertices: frozenset
+
+
+def components(adj, within: int) -> list:
+    """The components of the graph with rows adj restricted to the vertex
+    mask within, as masks in order of their least vertex."""
+    comps = []
+    while within:
+        comp = frontier = within & -within
+        while frontier:  # one vertex at a time: the frontier grows while it is read
+            b = frontier & -frontier
+            new = adj[b.bit_length() - 1] & within & ~comp
+            comp |= new
+            frontier = (frontier ^ b) | new
+        comps.append(comp)
+        within &= ~comp
+    return comps
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -57,21 +57,22 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def from_graph6(text: str) -> Graph:
+def from_graph6(text: str, line: int = 1) -> Graph:
+    """Decode one graph6 record; errors name ``line``, its line in a file."""
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
-        raise ParseError("empty graph6 string")
+        raise ParseError("empty graph6 string", line=line)
     for col, ch in enumerate(s):
         if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"invalid graph6 character {ch!r}", line=1, column=col + 1)
+            raise ParseError(f"invalid graph6 character {ch!r}", line=line, column=col + 1)
     pos = 0
     if ord(s[0]) == 126:
         if len(s) < 4:
-            raise ParseError("truncated graph6 vertex count", line=1, column=len(s))
+            raise ParseError("truncated graph6 vertex count", line=line, column=len(s))
         if ord(s[1]) == 126:
-            raise ParseError("graph6 graphs beyond 258047 vertices unsupported", line=1, column=2)
+            raise ParseError("graph6 graphs beyond 258047 vertices unsupported", line=line, column=2)
         n = 0
         for ch in s[1:4]:
             n = n << 6 | (ord(ch) - 63)
@@ -84,11 +85,11 @@ def from_graph6(text: str) -> Graph:
     if len(data) != need:
         raise ParseError(
             f"graph6 body has {len(data)} characters, expected {need} for n={n}",
-            line=1,
+            line=line,
             column=pos + 1,
         )
     if n > MAX_VERTICES:
-        raise UnsupportedSizeError(f"graphs are limited to {MAX_VERTICES} vertices, got {n}")
+        raise UnsupportedSizeError(f"graphs are limited to {MAX_VERTICES} vertices, got {n} (line {line})")
     bitstream = 0
     for ch in data:
         bitstream = bitstream << 6 | (ord(ch) - 63)
@@ -109,12 +110,8 @@ def read_graph6_lines(lines) -> list:
     out = []
     for ln, raw in enumerate(lines, start=1):
         s = raw.strip()
-        if not s:
-            continue
-        try:
-            out.append(from_graph6(s))
-        except ParseError as e:
-            raise ParseError(f"bad graph6 record: {e}", line=ln) from None
+        if s:
+            out.append(from_graph6(s, ln))
     return out
 
 

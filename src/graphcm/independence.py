@@ -8,7 +8,8 @@ candidates] taking candidates in increasing bit order: the recursive form's
 tree and order, from one generator frame.  The public stream is sorted
 lexicographically by bitmask so repeated runs see identical order; callers
 that only need existence use the unordered internal enumerator and stop
-early.
+early.  Given a vertex mask, the enumerator works on the subgraph it
+induces without building it; the shedding test reads G minus v that way.
 
 A vertex v of G is *shedding* (Woodroofe) when no maximal independent set
 of G minus v avoids N(v).  Each maximal independent set S of G minus v is
@@ -44,11 +45,14 @@ def _nonadj(g: Graph) -> list:
     return [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
 
 
-def _mis_masks(g: Graph):
-    """Yield every maximal independent set of g as a bitmask (unordered)."""
+def _mis_masks(g: Graph, within: int = -1):
+    """Yield every maximal independent set of the subgraph of g induced on
+    the vertex mask ``within`` (all of g by default) as a bitmask of g's
+    vertices (unordered).  The search starts from P = within, and P and X
+    only shrink, so no vertex outside the mask enters either."""
     compat = _nonadj(g)
     stack = []  # one frame [r, p, x, candidates] per open node of the search
-    r, p, x = 0, g.full_mask, 0
+    r, p, x = 0, g.full_mask & within, 0
     while True:
         if not p | x:
             yield r
@@ -79,11 +83,7 @@ def _mis_masks(g: Graph):
 
 def _is_shedding(g: Graph, i: int) -> bool:
     """True iff every maximal independent set of g minus vertex i meets N(i)."""
-    h = g.keep_mask(g.full_mask & ~(1 << i))
-    nmask = g.adj[i]
-    # indices above i shift down by one in h
-    nmask_h = (nmask & ((1 << i) - 1)) | ((nmask >> (i + 1)) << i)
-    return all(mask & nmask_h for mask in _mis_masks(h))
+    return all(m & g.adj[i] for m in _mis_masks(g, g.full_mask & ~(1 << i)))
 
 
 def maximal_independent_sets(g: Graph):

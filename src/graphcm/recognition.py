@@ -326,21 +326,21 @@ def _exact_cover(universe_mask: int, pieces: list):
     """Deterministic exact-cover backtracking: the first cover of the
     universe by the ordered (mask, kind, payload) pieces, or None."""
     chosen = []
+    return chosen if _cover(universe_mask, pieces, chosen) else None
 
-    def rec(remaining):
-        if remaining == 0:
-            return True
-        pivot = (remaining & -remaining).bit_length() - 1
-        for piece in pieces:
-            mask = piece[0]
-            if mask >> pivot & 1 and mask & ~remaining == 0:
-                chosen.append(piece)
-                if rec(remaining & ~mask):
-                    return True
-                chosen.pop()
-        return False
 
-    return chosen if rec(universe_mask) else None
+def _cover(remaining: int, pieces: list, chosen: list) -> bool:
+    """Extend ``chosen`` to an exact cover of ``remaining``; no closure, so no cycle for the collector."""
+    if remaining == 0:
+        return True
+    pivot = (remaining & -remaining).bit_length() - 1
+    for piece in pieces:
+        if piece[0] >> pivot & 1 and piece[0] & ~remaining == 0:
+            chosen.append(piece)
+            if _cover(remaining & ~piece[0], pieces, chosen):
+                return True
+            chosen.pop()
+    return False
 
 
 def _partition(g: Graph, kinds: str):
@@ -394,7 +394,7 @@ def t3_simplicial_condition(g: Graph) -> bool:
     at most 3 (the equivalent reformulation; cross-checked in the
     verification suites)."""
     simplexes = _pieces(g.adj, "S")
-    if not simplexes or _union(simplexes) != g.full_mask or any(m.bit_count() > 4 for m, _, _ in simplexes):
+    if _union(simplexes) != g.full_mask or any(m.bit_count() > 4 for m, _, _ in simplexes):
         return False
     return is_well_covered(g)
 

@@ -260,8 +260,6 @@ def brute_new_vertex_leads(adj) -> int:
     by (degree, sum of neighbour degrees) among the non-cut vertices: 0 if
     one outranks it, 2 if every one that ties it is a twin of it
     (N(u) - {v} == N(v) - {u}), and 1 otherwise."""
-    from graphcm.enumeration import _ball
-
     deg = [row.bit_count() for row in adj]
     v = len(adj) - 1
 
@@ -269,8 +267,9 @@ def brute_new_vertex_leads(adj) -> int:
         return deg[u], sum(deg[w] for w in bits(adj[u]))
 
     def non_cut(u):
-        others = ((1 << len(adj)) - 1) ^ (1 << u)
-        return _ball(adj, v, v, others) == others
+        h = to_nx(Graph(tuple(range(len(adj))), tuple(adj)))
+        h.remove_node(u)
+        return nx.is_connected(h)
 
     rivals = [u for u in range(v) if key(u) >= key(v) and non_cut(u)]
     if any(key(u) > key(v) for u in rivals):

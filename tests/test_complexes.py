@@ -31,7 +31,7 @@ from graphcm.complexes import (
 )
 from graphcm.graph import Graph, GraphInputError, complete_bipartite, complete_graph, cycle_graph, path_graph
 from graphcm.independence import independence_number, is_w2, is_well_covered
-from graphcm.families import gen_G
+from graphcm.families import gen_G, gen_H
 
 
 def test_field_spec_validation():
@@ -553,6 +553,29 @@ def test_orbit_representatives_meet_every_punch(g):
     assert all(r.graph.n and r.graph.is_connected() for r in complexes._PROFILE_CACHE.values())
 
 
+def test_a_cold_punch_builds_each_component_once(monkeypatch):
+    # _minus builds the k components of a punch with k keep_mask calls and
+    # no whole punched graph; the shedding test builds no graph at all
+    built = []
+    keep_mask = Graph.keep_mask
+    monkeypatch.setattr(Graph, "keep_mask", lambda g, mask: built.append(mask) or keep_mask(g, mask))
+    sizes = set()
+    for g in (gen_G(4), gen_H(4), cycle_graph(6), path_graph(5), complete_graph(2)):
+        complexes.clear_caches()
+        (rec,) = complexes._parts(g)
+        h = rec.graph
+        for v in range(h.n):
+            for mask in (1 << v, h.adj[v] | 1 << v):
+                k = len(h.component_masks(~mask))
+                built.clear()
+                if mask not in rec.minus:
+                    assert len(complexes._minus(rec, mask)) == k and len(built) == k
+                    sizes.add(k)
+            built.clear()
+            assert complexes._sheds(rec, v) == complexes._is_shedding(h, v) and built == []
+    assert {0, 1, 2} <= sizes
+
+
 def test_vertex_decomposability_reads_the_reisner_punches():
     # the Reisner recursion made G minus N[v] at one vertex per orbit of each
     # class it read the children of; the VD search finds them on the records
@@ -756,7 +779,11 @@ def test_classify_enumerates_the_maximal_independent_sets_once(monkeypatch):
 
     seen = []
     enumerate_mis = independence._mis_masks
-    monkeypatch.setattr(independence, "_mis_masks", lambda g: seen.append(g.adj) or enumerate_mis(g))
+    monkeypatch.setattr(
+        independence,
+        "_mis_masks",
+        lambda g, within=-1: seen.append(g.keep_mask(g.full_mask & within).adj) or enumerate_mis(g, within),
+    )
     complexes.clear_caches()
     g = gen_G(5)
     report = classify(g)

@@ -167,6 +167,24 @@ def test_forest_iff_infinite_girth(g):
     assert (g.girth() is INFINITY) == (g.m == g.n - comps)
 
 
+def _spread(mask: int, kept: int) -> int:
+    """The mask over g's indices of the mask over g.keep_mask(kept)'s."""
+    return sum(1 << i for k, i in enumerate(bits(kept)) if mask >> k & 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=8), st.integers(0, 255))
+def test_component_masks_on_a_vertex_mask_match_the_induced_subgraph(g, within):
+    kept = g.full_mask & within
+    h = g.keep_mask(kept)
+    assert g.component_masks(within) == [_spread(c, kept) for c in h.component_masks()]
+    parts = g.induced_components(within)
+    assert [p.labels for p in parts] == [g.keep_mask(c).labels for c in g.component_masks(within)]
+    assert all(p.is_connected() and p.adj == g.keep_mask(g.mask_of(p.labels)).adj for p in parts)
+    if kept == g.full_mask and len(parts) == 1:
+        assert parts[0] is g
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(min_n=1, max_n=7))
 def test_blocks_partition_edges_and_cut_vertices(g):

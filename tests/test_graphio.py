@@ -52,6 +52,17 @@ def test_graph6_vertex_cap():
         from_graph6(s)
 
 
+def test_graph6_file_errors_name_the_record_line():
+    n = 65
+    big = chr(126) + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0)) + "?" * ((n * (n - 1) // 2 + 5) // 6)
+    with pytest.raises(UnsupportedSizeError) as err:
+        graphio.read_graph6_lines(["Dhc\n", "\n", big + "\n"])
+    assert "(line 3)" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        graphio.read_graph6_lines(["Dhc\n", "\n", "Dh\n"])  # body one character short
+    assert str(err.value).endswith("(line 3, column 2)") and (err.value.line, err.value.column) == (3, 2)
+
+
 def test_edge_list_round_trip_plain():
     g = cycle_graph(4)
     text = to_edge_list(g)

@@ -3,11 +3,11 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_alpha, brute_maximal_independent_sets, graphs, to_nx
 
-from graphcm.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
+from graphcm.graph import Graph, bits, complete_graph, cycle_graph, disjoint_union, path_graph
 from graphcm.independence import (
     _is_shedding,
     _mis_masks,
@@ -112,6 +112,14 @@ def _random_graph(seed):
 
 
 WIDE = [gen_G(k) for k in range(1, 7)] + [gen_H(k) for k in range(1, 7)] + [_random_graph(s) for s in range(40)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=8), st.integers(0, 255))
+def test_mis_masks_on_a_vertex_mask_match_the_induced_subgraph(g, within):
+    kept = g.full_mask & within
+    spread = [sum(1 << i for k, i in enumerate(bits(kept)) if m >> k & 1) for m in _mis_masks(g.keep_mask(kept))]
+    assert list(_mis_masks(g, within)) == spread
 
 
 @pytest.mark.parametrize("g", WIDE, ids=[f"n{g.n}-m{g.m}-{i}" for i, g in enumerate(WIDE)])

@@ -253,8 +253,8 @@ def test_no_package_module_reaches_bareiss():
 # -- one builder of punched graphs per module -----------------------------------
 
 
-# Graph.keep_mask and the Graph methods that punch through it
-PUNCHES = ("keep_mask", "delete_vertices", "punch_closed", "punch_edge")
+# Graph.keep_mask and the Graph methods that punch or split through it
+PUNCHES = ("keep_mask", "delete_vertices", "punch_closed", "punch_edge", "induced_components")
 
 
 def _punchers(source: str) -> list:
@@ -281,9 +281,11 @@ def test_detector_names_the_callers_of_keep_mask():
 
 
 def test_complexes_minus_alone_punches_the_class_records():
-    # the records' punches are made in complexes._minus (over _parts, which
-    # splits a graph into components); the VD search reads them there, and
-    # only the certificate replay, which trusts no table, punches its own
+    # the records' punches are made in complexes._minus, which builds only
+    # the components of the punch, through _parts; the VD search reads them
+    # there, only the certificate replay, which trusts no table, builds its
+    # own, and the shedding test builds none
     package = MODULES[0].parent
-    assert _punchers((package / "complexes.py").read_text()) == ["_parts", "_minus"]
+    assert _punchers((package / "complexes.py").read_text()) == ["_parts"]
     assert _punchers((package / "decomposability.py").read_text()) == ["_walk"]
+    assert _punchers((package / "independence.py").read_text()) == []

@@ -201,6 +201,8 @@ def test_t3_examples():
     assert not t3_partition_condition(complete_graph(5))
     assert not t3_simplicial_condition(complete_graph(5))
     assert t3_simplicial_condition(complete_graph(3))
+    # the empty graph: no vertex to cover, so both conditions hold
+    assert t3_partition_condition(Graph.empty(0)) and t3_simplicial_condition(Graph.empty(0))
 
 
 def test_block_cactus_and_cactus_examples():
