@@ -22,6 +22,25 @@ the bounds leave open.  The GF(2) ranks are that first stage, so a
 rational profile brings the GF(2) profile with it.  Verdicts never
 collapse fields silently; callers pass the characteristics they care about.
 
+A class's Betti numbers are ranked on a smaller complex than Delta(G).
+Take a vertex w.  Delta(G) is Delta(G minus w) u st w, where the star
+st w = w * Delta(G minus N[w]) is a cone and meets Delta(G minus w) in
+Delta(G minus N[w]) (the splitting used in Jonsson, "Simplicial Complexes
+of Graphs", LNM 1928, 2008).  The cone is acyclic over Z and holds the
+empty face, so the quotient of the augmented chain complexes
+C(Delta)/C(st w) has the reduced homology of Delta, in every degree (the
+lowest included) and over every field; by excision it is the chain
+complex of the pair (Delta(G minus w), Delta(G minus N[w])).  Its cells
+are the faces outside the star: the independent sets of G minus w that
+meet N(w) (``_relative_cells``, for a least-degree w).  Its boundary is
+the usual one with every term that lands in Delta(G minus N[w]) dropped;
+a dropped term keeps its place in the signs of the others
+(``_boundary_columns``).  It is still a chain complex, d*d = 0, so the
+certification of the rational ranks above holds unchanged.  The empty
+face is no cell, so the number at cardinality 0 is 0, and the profile
+keeps its length alpha(G) + 1, with
+alpha(G) = max(alpha(G minus w), alpha(G minus N[w]) + 1).
+
 The functions on a ``SimplicialComplex`` (``link``, ``delete``, ``core``,
 ``betti_profile``, ``is_cm``, ``is_doubly_cm``) work face by face on any
 complex, an independence complex included; they are the slow, direct
@@ -108,7 +127,7 @@ from dataclasses import dataclass, field as dc_field
 from . import canon, linalg
 from .canon import automorphisms, canonical_form
 from .graph import Graph, GraphInputError, bits
-from .independence import _is_shedding, _mis_masks, _nonadj, independence_number, is_well_covered
+from .independence import _is_shedding, _max_independent, _mis_masks, _nonadj, independence_number, is_well_covered
 
 
 def _char(field) -> int:
@@ -334,35 +353,60 @@ def _faces_by_card_from_complex(delta: SimplicialComplex):
     return [sorted(by_card[c]) for c in range(max(by_card) + 1)]
 
 
-def _independent_masks_by_card(g: Graph):
+def _relative_cells(g: Graph) -> list:
+    """The cells of the pair (Delta(g minus w), Delta(g minus N[w])) for a
+    least-degree vertex w of g (the least such index): the independent
+    sets of g minus w that meet N(w) (see the module docstring), as
+    bitmasks listed by cardinality over alpha(g) + 1 levels.  A cell is
+    walked from its least vertex u in N(w), so each is listed once.  A
+    largest independent set of g minus w is a cell or lies in g minus
+    N[w], so alpha(g) = max(alpha(g minus w), alpha(g minus N[w]) + 1) is
+    the larger of the top cell and alpha(g minus N[w]) + 1; the branch and
+    bound for the second starts from the first."""
+    adj = g.adj
+    w = min(range(g.n), key=lambda v: adj[v].bit_count())
+    near = adj[w]
     nonadj = _nonadj(g)
-    by_card = [[0]]
-
-    def rec(cur, allowed, size):
-        if size + 1 >= len(by_card):
-            by_card.append([])
+    cells = [[], []]
+    stack = []  # (cell, the vertices that may join it)
+    for u in bits(near):
+        cells[1].append(1 << u)
+        rest = nonadj[u] & ~(near & ((1 << u) - 1))
+        if rest:
+            stack.append((1 << u, rest))
+    while stack:
+        cur, allowed = stack.pop()
+        size = cur.bit_count() + 1
+        if size == len(cells):
+            cells.append([])
+        level = cells[size]
         for v in bits(allowed):
-            nxt = cur | 1 << v
-            by_card[size + 1].append(nxt)
-            rec(nxt, allowed & nonadj[v] & ~((1 << (v + 1)) - 1), size + 1)
-
-    rec(0, g.full_mask, 0)
-    return [sorted(level) for level in by_card if level]
+            cell = cur | 1 << v
+            level.append(cell)
+            rest = allowed & nonadj[v] & -(2 << v)
+            if rest:
+                stack.append((cell, rest))
+    # with no cell at all (N(w) empty), alpha(g minus N[w]) + 1 >= 1 wins
+    alpha = _max_independent(adj, g.full_mask & ~(near | 1 << w), 0, len(cells) - 2) + 1
+    return [sorted(level) for level in cells] + [[]] * (alpha + 1 - len(cells))
 
 
 def _boundary_columns(prev_faces, cur_faces):
     """The boundary map from cur_faces (cardinality c) to prev_faces
     (cardinality c-1), faces being bitmasks: one column per face of
     cur_faces, listing the rows of the faces it covers in increasing order
-    of the dropped vertex, so the entries along a column are +1, -1, ..."""
-    row_of = {f: i for i, f in enumerate(prev_faces)}
+    of the dropped vertex, so the entries along a column are +1, -1, ...
+    A face missing from prev_faces, a term of a relative complex that
+    lies in the subcomplex, is None: it keeps its place in the signs and
+    is skipped when ranked."""
+    row_of = {f: i for i, f in enumerate(prev_faces)}.get
     cols = []
     for f in cur_faces:
         col = []
         rest = f
         while rest:  # faces reach past one byte, where this beats bits()
             low = rest & -rest
-            col.append(row_of[f ^ low])
+            col.append(row_of(f ^ low))
             rest ^= low
         cols.append(col)
     return cols
@@ -370,7 +414,7 @@ def _boundary_columns(prev_faces, cur_faces):
 
 def _signed(cols):
     """The columns of _boundary_columns as {row: +1 or -1} dicts."""
-    return ({i: -1 if t & 1 else 1 for t, i in enumerate(col)} for col in cols)
+    return ({i: -1 if t & 1 else 1 for t, i in enumerate(col) if i is not None} for col in cols)
 
 
 def _rank_mod(cols, p: int) -> int:
@@ -381,7 +425,8 @@ def _rank_mod(cols, p: int) -> int:
     for col in cols:
         mask = 0
         for i in col:
-            mask |= 1 << i
+            if i is not None:
+                mask |= 1 << i
         masks.append(mask)
     return linalg.rank_gf2(masks)
 
@@ -437,8 +482,10 @@ def _rational_ranks(sizes, cols, lo) -> list:
 def _profiles(faces_by_card, char: int) -> dict:
     """Reduced Betti numbers indexed by cardinality (index c = dim c-1),
     keyed by characteristic; faces_by_card[c] lists the faces of
-    cardinality c as bitmasks.  Over Q the GF(2) ranks are the first stage
-    of _rational_ranks, so the GF(2) profile comes with the rational one."""
+    cardinality c as bitmasks: every face of a complex, or the cells of
+    the relative complex of _relative_cells, whose homology is the same.
+    Over Q the GF(2) ranks are the first stage of _rational_ranks, so the
+    GF(2) profile comes with the rational one."""
     if not faces_by_card:
         return {char: ()}
     top = len(faces_by_card) - 1
@@ -627,7 +674,7 @@ def _punch_cm(punch: tuple, alpha: int, char: int) -> bool:
 def _betti(rec: _Class, char: int) -> tuple:
     out = rec.betti.get(char)
     if out is None:
-        rec.betti.update(_profiles(_independent_masks_by_card(rec.graph), char))
+        rec.betti.update(_profiles(_relative_cells(rec.graph), char))
         out = rec.betti[char]
     return out
 

@@ -323,50 +323,54 @@ class Graph:
         return all(self.adj[a] & mask == mask & ~(1 << a) for a in bits(mask))
 
     def block_masks(self) -> list:
-        """The blocks as internal-index masks (DFS lowpoint algorithm).
+        """The blocks as internal-index masks (DFS lowpoint algorithm, on an
+        explicit stack).
 
         Isolated vertices form single-vertex blocks so that every vertex
         lies in at least one block; every edge lies in exactly one block.
         """
-        n = self.n
-        visited = [False] * n
-        depth = [0] * n
-        low = [0] * n
+        adj = self.adj
+        depth = [-1] * self.n
+        low = [0] * self.n
         block_masks = []
         edge_stack = []
-        timer = [0]
-
-        def dfs(u, pu):
-            visited[u] = True
-            depth[u] = low[u] = timer[0]
-            timer[0] += 1
-            for v in bits(self.adj[u]):
-                if v == pu:
+        timer = 0
+        for root in range(self.n):
+            if depth[root] >= 0:
+                continue
+            if adj[root] == 0:
+                block_masks.append(1 << root)
+                continue
+            depth[root] = low[root] = timer
+            timer += 1
+            stack = [[root, -1, adj[root]]]  # [u, its parent, neighbours left]
+            while stack:
+                frame = stack[-1]
+                u, pu, rest = frame
+                if rest:
+                    b = rest & -rest
+                    frame[2] = rest ^ b
+                    v = b.bit_length() - 1
+                    if depth[v] < 0:
+                        edge_stack.append((u, v))
+                        depth[v] = low[v] = timer
+                        timer += 1
+                        stack.append([v, u, adj[v] & ~(1 << u)])
+                    elif depth[v] < depth[u]:
+                        edge_stack.append((u, v))
+                        low[u] = min(low[u], depth[v])
                     continue
-                if not visited[v]:
-                    edge_stack.append((u, v))
-                    dfs(v, u)
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= depth[u]:
+                stack.pop()
+                if pu >= 0:
+                    low[pu] = min(low[pu], low[u])
+                    if low[u] >= depth[pu]:
                         comp = 0
                         while True:
                             x, y = edge_stack.pop()
                             comp |= (1 << x) | (1 << y)
-                            if (x, y) == (u, v):
+                            if (x, y) == (pu, u):
                                 break
                         block_masks.append(comp)
-                elif depth[v] < depth[u]:
-                    edge_stack.append((u, v))
-                    low[u] = min(low[u], depth[v])
-
-        for root in range(n):
-            if visited[root]:
-                continue
-            if self.adj[root] == 0:
-                visited[root] = True
-                block_masks.append(1 << root)
-                continue
-            dfs(root, -1)
         return block_masks
 
     def blocks(self) -> "BlockDecomposition":

@@ -34,6 +34,11 @@ class ParseError(GraphInputError):
 # -- graph6 -----------------------------------------------------------------
 
 
+# _SEXTET[b]: the graph6 character of six body bits held in b from bit 0
+# up, the first of them being the character's highest bit
+_SEXTET = [chr(int(f"{b:06b}"[::-1], 2) + 63) for b in range(64)]
+
+
 def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
@@ -42,18 +47,14 @@ def to_graph6(g: Graph) -> str:
         out = [chr(126)] + [chr((n >> s & 63) + 63) for s in (12, 6, 0)]
     else:  # unreachable under the 64-vertex cap
         raise GraphInputError("graph too large for graph6 support here")
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = group << 1 | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(group + 63))
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((group << (6 - nbits)) + 63))
+    # the upper triangle column by column, column j being row j below the
+    # diagonal read from vertex 0 up: bit k of `stream` is bit k of the
+    # body, and each sextet is written first bit highest
+    stream = width = 0
+    for j, row in enumerate(g.adj):
+        stream |= (row & ((1 << j) - 1)) << width
+        width += j
+    out += [_SEXTET[stream >> k & 63] for k in range(0, width, 6)]
     return "".join(out)
 
 

@@ -103,21 +103,21 @@ def independence_number(g: Graph) -> int:
         v = min(bits(cand), key=lambda u: (adj[u] & cand).bit_count())
         best += 1
         cand &= ~(adj[v] | 1 << v)
+    return _max_independent(adj, g.full_mask, 0, best)
 
-    def bb(cand, size):
-        nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if cand == 0:
-            best = max(best, size)
-            return
-        v = max(bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-        bb(cand & ~(adj[v] | 1 << v), size + 1)
-        # if v has no candidate neighbours, excluding it cannot help
-        if adj[v] & cand:
-            bb(cand & ~(1 << v), size)
 
-    bb(g.full_mask, 0)
+def _max_independent(adj, cand: int, size: int, best: int) -> int:
+    """The larger of best and size plus the independence number of the
+    rows adj restricted to the vertex mask cand, by branch and bound."""
+    if size + cand.bit_count() <= best:
+        return best
+    if cand == 0:
+        return size
+    v = max(bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+    best = _max_independent(adj, cand & ~(adj[v] | 1 << v), size + 1, best)
+    # if v has no candidate neighbours, excluding it cannot help
+    if adj[v] & cand:
+        best = _max_independent(adj, cand & ~(1 << v), size, best)
     return best
 
 

@@ -77,17 +77,18 @@ def _simplicial(adj) -> int:
 
 def _has_cycle_of_length(g: Graph, length: int) -> bool:
     """Whether g has a cycle of the given length; stops at the first one."""
-    adj = g.adj
+    return any(_closes(g.adj, a, a, length - 1, 1 << a) for a in range(g.n))
 
-    def dfs(start, u, depth, used):
-        if depth == length:
-            return adj[u] >> start & 1
-        for v in bits(adj[u] & ~used):
-            if v > start and dfs(start, v, depth + 1, used | 1 << v):
-                return True
-        return False
 
-    return any(dfs(a, a, 1, 1 << a) for a in range(g.n))
+def _closes(adj, start: int, u: int, steps: int, used: int) -> bool:
+    """Whether the path from start to u, on the vertex mask used, extends
+    by ``steps`` more vertices above start to a cycle through start."""
+    if not steps:
+        return adj[u] >> start & 1 > 0
+    for v in bits(adj[u] & ~used & -(2 << start)):
+        if _closes(adj, start, v, steps - 1, used | 1 << v):
+            return True
+    return False
 
 
 def _oriented(cyc: tuple) -> tuple:

@@ -145,6 +145,17 @@ def brute_reduced_betti(faces, char: int):
     return tuple(len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(top + 1))
 
 
+def brute_to_graph6(g: Graph) -> str:
+    """graph6 one bit at a time: the upper triangle column by column, each
+    column from vertex 0 down, in sextets offset by 63."""
+    n = g.n
+    head = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    flat = [g.adj[i] >> j & 1 for j in range(1, n) for i in range(j)]
+    flat += [0] * (-len(flat) % 6)
+    body = [int("".join(map(str, flat[k:k + 6])), 2) for k in range(0, len(flat), 6)]
+    return "".join(chr(x + 63) for x in head + body)
+
+
 def brute_cycles(g: Graph, length: int):
     """All cycles of the given length as index tuples in the library's
     orientation (smallest vertex first, second < last), sorted; every

@@ -264,6 +264,99 @@ def test_betti_match_brute_force(g):
         assert graph_betti(g, char) == brute_reduced_betti(faces, char)
 
 
+@st.composite
+def _least_degree_shapes(draw):
+    """Graphs with n <= 10.  Most get one or two vertices added to a random
+    base graph, so that the least-degree vertex the relative complex is
+    taken at is often a leaf, lies in a triangle, or ties with another."""
+    shape = draw(st.sampled_from(("random", "leaf", "triangle", "tie")))
+    if shape == "random":
+        return draw(graphs(max_n=10))
+    base = draw(graphs(min_n=2, max_n=8))
+    n = base.n
+    edges = base.edges()
+    x = draw(st.integers(0, n - 1))
+    y = draw(st.integers(0, n - 2))
+    y += y >= x
+    if shape == "leaf":
+        return Graph.from_edges(n + 1, edges + [(x, n)])
+    if shape == "triangle":
+        return Graph.from_edges(n + 1, list(set(edges) | {(min(x, y), max(x, y))}) + [(x, n), (y, n)])
+    return Graph.from_edges(n + 2, edges + [(x, n), (y, n + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_least_degree_shapes())
+def test_relative_complex_betti_match_all_faces(g):
+    # the relative complex of one vertex gives the Betti numbers of the
+    # whole face list, over every field
+    faces = [frozenset(g.index(v) for v in f) for f in independence_complex(g).faces()]
+    for char in (0, 2, 3):
+        complexes.clear_caches()
+        assert graph_betti(g, char) == brute_reduced_betti(faces, char)
+
+
+def _squares_to_zero(g) -> bool:
+    """d_{c-1} d_c = 0 over Z on the signed boundary maps of g's relative
+    complex, which a sign that ignored the dropped terms' places breaks."""
+    cells = complexes._relative_cells(g)
+    maps = [list(complexes._signed(complexes._boundary_columns(cells[c - 1], cells[c]))) for c in range(1, len(cells))]
+    for lower, upper in zip(maps, maps[1:]):
+        for col in upper:
+            image = Counter()
+            for i, x in col.items():
+                for j, y in lower[i].items():
+                    image[j] += x * y
+            if any(image.values()):
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(_least_degree_shapes())
+def test_relative_boundary_squares_to_zero(g):
+    assert g.n == 0 or _squares_to_zero(g)
+
+
+def test_relative_boundary_of_the_families_squares_to_zero():
+    for g in (gen_G(3), gen_G(4), gen_H(4), _sd_rp2_graph()):
+        assert _squares_to_zero(g)
+
+
+def test_relative_complex_ranks_fewer_cells_than_faces(monkeypatch):
+    cells = []
+    relative_cells = complexes._relative_cells
+    monkeypatch.setattr(complexes, "_relative_cells", lambda g: cells.append(out := relative_cells(g)) or out)
+    complexes.clear_caches()
+    g = gen_G(5)
+    graph_betti(g, 2)
+    assert len(cells) == 1
+    assert sum(map(len, cells[0])) < len(independence_complex(g).faces())
+    # the profile still runs to the top cardinality, alpha(G5) = 5
+    assert len(cells[0]) == independence_number(g) + 1 and cells[0][0] == []
+
+
+def test_recursions_leave_no_reference_cycle():
+    # each recursion runs through a module function or an explicit stack,
+    # so its working state is freed without the cyclic collector
+    import gc
+
+    from graphcm import recognition
+
+    sample = [gen_G(4), gen_H(4), cycle_graph(7), path_graph(6), complete_bipartite(3, 4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in sample * 10:
+            independence_number(g)
+            g.block_masks()
+            recognition._has_cycle_of_length(g, 5)
+            complexes._relative_cells(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _gorenstein_oracle(g, char):
     """Independent route: core the complex combinatorially, then demand
     sphere homology (zero below top, one at top) for the link of every
@@ -612,7 +705,7 @@ def test_second_field_doubly_cm_needs_no_search(monkeypatch):
     assert is_cm_graph(h, 0) and not is_doubly_cm_graph(h, 0)
     searches.clear()
     enumerations = _count_calls(monkeypatch, independence, "_mis_masks")
-    faces = _count_calls(monkeypatch, complexes, "_independent_masks_by_card")
+    faces = _count_calls(monkeypatch, complexes, "_relative_cells")
     assert not is_doubly_cm_graph(h, 2)
     assert searches == [] and enumerations == [] and faces == []
 

@@ -2,7 +2,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, to_nx
+from conftest import brute_to_graph6, graphs, to_nx
 
 from graphcm import graphio
 from graphcm.graph import Graph, GraphInputError, UnsupportedSizeError, complete_graph, cycle_graph
@@ -25,6 +25,16 @@ def test_graph6_bit_exact_vs_networkx(g):
     assert ours == theirs
     back = from_graph6(ours)
     assert back.adj == g.adj
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=64))
+def test_graph6_columns_match_the_bitwise_encoder(g):
+    # to_graph6 packs whole columns of the upper triangle; the reference
+    # reads one bit at a time
+    ours = to_graph6(g)
+    assert ours == brute_to_graph6(g)
+    assert from_graph6(ours).adj == g.adj
 
 
 def test_graph6_header_and_long_count():

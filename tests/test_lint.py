@@ -138,6 +138,48 @@ def test_no_recursive_generators(path):
     assert _self_delegating_generators(path.read_text()) == []
 
 
+def _recursive_closures(source: str) -> list:
+    """(line, name) of each function nested in another that calls itself by
+    name: its cell and its function object refer to each other, a
+    reference cycle per call left for the cyclic collector."""
+    out = []
+    for outer in ast.walk(ast.parse(source)):
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(outer):
+                if node is outer or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                calls = (sub.func for sub in ast.walk(node) if isinstance(sub, ast.Call))
+                if any(getattr(func, "id", None) == node.name for func in calls):
+                    out.append((node.lineno, node.name))
+    return sorted(set(out))
+
+
+def test_detector_flags_a_recursive_closure():
+    # the branch and bound that independence_number ran as a closure
+    src = (
+        "def independence_number(g):\n"
+        "    best = 0\n"
+        "    def bb(cand, size):\n"
+        "        nonlocal best\n"
+        "        if cand:\n"
+        "            bb(cand & cand - 1, size + 1)\n"
+        "    bb(g.full_mask, 0)\n"
+        "    return best\n"
+        "def _max_independent(adj, cand):\n"
+        "    return _max_independent(adj, cand & cand - 1) if cand else 0\n"
+        "def _orbits(n):\n"
+        "    def find(x):\n"
+        "        return x\n"
+        "    return [find(x) for x in range(n)]\n"
+    )
+    assert _recursive_closures(src) == [(3, "bb")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_recursive_closures(path):
+    assert _recursive_closures(path.read_text()) == []
+
+
 def test_only_complexes_keys_the_class_table():
     # every other module reaches the records through complexes._parts, so
     # a disconnected graph is never keyed
