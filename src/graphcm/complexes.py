@@ -22,8 +22,34 @@ the bounds leave open.  The GF(2) ranks are that first stage, so a
 rational profile brings the GF(2) profile with it.  Verdicts never
 collapse fields silently; callers pass the characteristics they care about.
 
-A class's Betti numbers are ranked on a smaller complex than Delta(G).
-Take a vertex w.  Delta(G) is Delta(G minus w) u st w, where the star
+A class with a dominating vertex y, one with N[x] inside N[y] for a
+neighbour x (``_dom``), splits with no faces at all.  Write Delta(G) as
+Delta(G minus y) u st y, glued along Delta(G minus N[y]), the cone st y
+acyclic (as below).  Every face of Delta(G minus N[y]) misses N[x] and
+takes x in Delta(G minus y), so the inclusion factors through a cone, is
+zero in homology, and Mayer-Vietoris splits: Delta(G) ~ Delta(G minus y)
+v the suspension of Delta(G minus N[y]) (Adamaszek, "Splittings of
+independence complexes and the powers of cycles", JCTA 119, 2012).  So
+over every field, indexed by cardinality, b_c(G) = b_c(G minus y) +
+b_{c-1}(G minus N[y]) (``_betti``), and alpha(G) = max(alpha(G minus y),
+alpha(G minus N[y]) + 1) (``_alpha``).  G is CM iff G minus y and
+G minus N[y] are, with alpha(G minus y) = alpha(G) = alpha(G minus N[y]) + 1
+(``_reisner``); this needs no purity test.  Let d = alpha(G) - 1.
+* If: Delta(G) glues Delta(G minus y) and the cone y * Delta(G minus N[y]),
+  CM of dimension d, along Delta(G minus N[y]), CM of dimension d - 1, so
+  Mayer-Vietoris on each link makes it CM (the gluing lemma).
+* Only if: Delta(G minus N[y]) is the link of y.  y sheds (``independence``),
+  so on the pure Delta(G), Delta(G minus y) is pure of dimension d.  Take a
+  face F of it.  If F meets N(y), no face of lk F holds y, and lk F is F's
+  link in Delta(G minus y) too.  If not, x survives in G minus N[F] (a
+  neighbour of x in F would be in N(y)), still dominated by y, so
+  Mayer-Vietoris on lk F = Delta(G minus N[F]) splits as above and
+  H~_i(lk F minus y) injects into H~_i(lk F), zero below the dimension
+  d - |F| of both links.
+
+A class with no dominating vertex has its Betti numbers ranked on a
+smaller complex than Delta(G).  Take a vertex w.  Delta(G) is
+Delta(G minus w) u st w, where the star
 st w = w * Delta(G minus N[w]) is a cone and meets Delta(G minus w) in
 Delta(G minus N[w]) (the splitting used in Jonsson, "Simplicial Complexes
 of Graphs", LNM 1928, 2008).  The cone is acyclic over Z and holds the
@@ -57,13 +83,15 @@ classes of G minus N[v] over the vertices v), the graphs G minus v for
 doubly CM, the edge punches G minus N(x) | N(y) for the square criterion
 and both branches of the vertex-decomposability search all read it, so a
 punch is made once, whichever test reaches it first.  The record also
-holds its purity; its independence number; its vertices' shedding
-verdicts; its vertex-decomposability verdict (``decomposability``); and
-per characteristic its Betti numbers, its Reisner verdict and its Stanley
-verdict.  A second field, the other engine or another entry point on a
-class already met computes no canonical form again.  Both engines test
-purity before any homology: Gorenstein* implies Cohen-Macaulay, which
-implies pure, and purity needs only the maximal independent sets.
+holds its purity; its independence number; its dominating vertex; its
+vertices' shedding verdicts; its vertex-decomposability verdict
+(``decomposability``); and per characteristic its Betti numbers, its
+Reisner verdict and its Stanley verdict.  A second field, the other
+engine or another entry point on a class already met computes no
+canonical form again.  The Stanley engine, and the Reisner engine on a
+class that does not split, test purity before any homology: Gorenstein*
+implies Cohen-Macaulay, which implies pure, and purity needs only the
+maximal independent sets.
 
 Doubly CM is decided cheapest test first: Reisner, then Gorenstein*, then
 W2, and only then the graphs g minus v.  Two implications make this exact.
@@ -127,7 +155,7 @@ from dataclasses import dataclass, field as dc_field
 from . import canon, linalg
 from .canon import automorphisms, canonical_form
 from .graph import Graph, GraphInputError, bits
-from .independence import _is_shedding, _max_independent, _mis_masks, _nonadj, independence_number, is_well_covered
+from .independence import _dominates, _is_shedding, _max_independent, _mis_masks, _nonadj, independence_number, is_well_covered
 
 
 def _char(field) -> int:
@@ -353,16 +381,16 @@ def _faces_by_card_from_complex(delta: SimplicialComplex):
     return [sorted(by_card[c]) for c in range(max(by_card) + 1)]
 
 
-def _relative_cells(g: Graph) -> list:
+def _relative_cells(g: Graph, alpha: int | None = None) -> list:
     """The cells of the pair (Delta(g minus w), Delta(g minus N[w])) for a
     least-degree vertex w of g (the least such index): the independent
     sets of g minus w that meet N(w) (see the module docstring), as
     bitmasks listed by cardinality over alpha(g) + 1 levels.  A cell is
     walked from its least vertex u in N(w), so each is listed once.  A
     largest independent set of g minus w is a cell or lies in g minus
-    N[w], so alpha(g) = max(alpha(g minus w), alpha(g minus N[w]) + 1) is
-    the larger of the top cell and alpha(g minus N[w]) + 1; the branch and
-    bound for the second starts from the first."""
+    N[w], so unless the caller knows alpha(g), it is the larger of the top
+    cell and alpha(g minus N[w]) + 1; the branch and bound for the second
+    starts from the first."""
     adj = g.adj
     w = min(range(g.n), key=lambda v: adj[v].bit_count())
     near = adj[w]
@@ -386,8 +414,9 @@ def _relative_cells(g: Graph) -> list:
             rest = allowed & nonadj[v] & -(2 << v)
             if rest:
                 stack.append((cell, rest))
-    # with no cell at all (N(w) empty), alpha(g minus N[w]) + 1 >= 1 wins
-    alpha = _max_independent(adj, g.full_mask & ~(near | 1 << w), 0, len(cells) - 2) + 1
+    if alpha is None:
+        # with no cell at all (N(w) empty), alpha(g minus N[w]) + 1 >= 1 wins
+        alpha = _max_independent(adj, g.full_mask & ~(near | 1 << w), 0, len(cells) - 2) + 1
     return [sorted(level) for level in cells] + [[]] * (alpha + 1 - len(cells))
 
 
@@ -530,9 +559,10 @@ class _Class:
     vertex-decomposability search, the deletions v and the edge punches
     N(x) | N(y), each made once and read through ``_children``,
     ``_deletions`` and ``_edge_punches``; ``pure`` is well-coveredness;
-    ``alpha`` the independence number; ``sheds`` is an int with bit 2v set
-    once v's shedding test ran and bit 2v + 1 if v sheds; ``shed`` the
-    canonical position in ``graph`` of the shedding vertex the
+    ``alpha`` the independence number; ``dom`` an orbit representative
+    that dominates a neighbour, or -1 (``_dom``); ``sheds`` is an int with
+    bit 2v set once v's shedding test ran and bit 2v + 1 if v sheds;
+    ``shed`` the canonical position in ``graph`` of the shedding vertex the
     vertex-decomposability search chose, or -1 (``decomposability``);
     ``betti``, ``cm`` and ``gor`` map a characteristic to the reduced Betti
     numbers, the Reisner verdict and the Gorenstein* verdict."""
@@ -542,6 +572,7 @@ class _Class:
     minus: dict = dc_field(default_factory=dict)
     pure: bool | None = None
     alpha: int | None = None
+    dom: int | None = None
     shed: int | None = None
     sheds: int = 0
     betti: dict = dc_field(default_factory=dict)
@@ -641,6 +672,21 @@ def _edge_punches(rec: _Class) -> tuple:
     )
 
 
+def _dom(rec: _Class) -> int:
+    """The first orbit representative y that dominates a neighbour x,
+    N[x] inside N[y], or -1: the class splits at y (module docstring)."""
+    if rec.dom is None:
+        adj = rec.graph.adj
+        rec.dom = next((y for y in _reps(rec) if _dominates(adj, y)), -1)
+    return rec.dom
+
+
+def _split(rec: _Class) -> tuple:
+    """The parts of G minus y and of G minus N[y] at the dominating y."""
+    y = _dom(rec)
+    return _minus(rec, 1 << y), _minus(rec, rec.graph.adj[y] | 1 << y)
+
+
 def _pure(rec: _Class) -> bool:
     if rec.pure is None:
         rec.pure = is_well_covered(rec.graph)
@@ -649,7 +695,11 @@ def _pure(rec: _Class) -> bool:
 
 def _alpha(rec: _Class) -> int:
     if rec.alpha is None:
-        rec.alpha = independence_number(rec.graph)
+        if _dom(rec) >= 0:
+            minus, link = _split(rec)
+            rec.alpha = max(sum(map(_alpha, minus)), sum(map(_alpha, link)) + 1)
+        else:
+            rec.alpha = independence_number(rec.graph)
     return rec.alpha
 
 
@@ -671,20 +721,12 @@ def _punch_cm(punch: tuple, alpha: int, char: int) -> bool:
     return sum(map(_alpha, punch)) == alpha and all(_reisner(p, char) for p in punch)
 
 
-def _betti(rec: _Class, char: int) -> tuple:
-    out = rec.betti.get(char)
-    if out is None:
-        rec.betti.update(_profiles(_relative_cells(rec.graph), char))
-        out = rec.betti[char]
-    return out
-
-
-def graph_betti(g: Graph, field) -> tuple:
-    """Reduced Betti numbers of Delta(g), indexed by face cardinality: the
-    convolution of its components' numbers, starting from {emptyset}'s."""
-    char = _char(field)
+def _join(parts, char: int) -> tuple:
+    """Reduced Betti numbers of the join of the parts' complexes, indexed
+    by face cardinality: the convolution of their numbers, starting from
+    {emptyset}'s."""
     out = (1,)
-    for p in _parts(g):
+    for p in parts:
         b = _betti(p, char)
         join = [0] * (len(out) + len(b) - 1)
         for i, x in enumerate(out):
@@ -694,17 +736,51 @@ def graph_betti(g: Graph, field) -> tuple:
     return out
 
 
+def _betti(rec: _Class, char: int) -> tuple:
+    """The class's Betti numbers: split at a dominating vertex, or ranked
+    on the relative complex; either way their length gives alpha."""
+    out = rec.betti.get(char)
+    if out is None:
+        if _dom(rec) >= 0:
+            minus, link = (_join(punch, char) for punch in _split(rec))
+            # b_c(G) = b_c(G minus y) + b_{c-1}(G minus N[y])
+            out = [0] * max(len(minus), len(link) + 1)
+            for c, b in itertools.chain(enumerate(minus), enumerate(link, 1)):
+                out[c] += b
+            out = rec.betti[char] = tuple(out)
+        else:
+            rec.betti.update(_profiles(_relative_cells(rec.graph, rec.alpha), char))
+            out = rec.betti[char]
+        rec.alpha = len(out) - 1
+    return out
+
+
+def graph_betti(g: Graph, field) -> tuple:
+    """Reduced Betti numbers of Delta(g): the join of its components'."""
+    return _join(_parts(g), _char(field))
+
+
 def _reisner(rec: _Class, char: int) -> bool:
     """Reisner criterion for Delta(g): faces containing a vertex v are
-    handled by recursing into the punched graph g minus N[v]."""
+    handled by recursing into the punched graph g minus N[v].  A class with
+    a dominating vertex y is CM iff G minus y and G minus N[y] are, with
+    alpha(G minus y) = alpha(G) = alpha(G minus N[y]) + 1 (module
+    docstring)."""
     out = rec.cm.get(char)
     if out is None:
-        # CM complexes are pure
-        out = (
-            _pure(rec)
-            and not any(_betti(rec, char)[:-1])
-            and all(_reisner(child, char) for child in _children(rec))
-        )
+        if _dom(rec) >= 0:
+            # alpha(G) is the larger of the two sides, so one equation holds both
+            minus, link = _split(rec)
+            out = sum(map(_alpha, minus)) == sum(map(_alpha, link)) + 1 and all(
+                _reisner(p, char) for p in minus + link
+            )
+        else:
+            # CM complexes are pure
+            out = (
+                _pure(rec)
+                and not any(_betti(rec, char)[:-1])
+                and all(_reisner(child, char) for child in _children(rec))
+            )
         rec.cm[char] = out
     return out
 

@@ -14,6 +14,14 @@ and the search reads its punches G minus v and G minus N[v] from the
 record's memo (``complexes._minus``), which the Reisner and Stanley
 recursions fill with the same G minus N[v].
 
+A dominating vertex y, with N[x] inside N[y] for a neighbour x
+(``complexes._dom``), sheds (Woodroofe, Lemma 6), so G is vertex
+decomposable once G minus y and G minus N[y] are: the split the Betti
+numbers and the Reisner test take at y.  The search tries y first, and
+its shedding test is the fast path of ``independence._is_shedding``.  The
+converse is not quoted here, so when the split fails the search goes on
+over the other orbits, and a False never rests on the split.
+
 A record's ``shed`` is the canonical position in its graph of the shedding
 vertex its search chose, or -1.  Positions survive relabeling: isomorphic
 graphs place corresponding vertices at equal canonical positions.  One
@@ -28,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_order
-from .complexes import _PROFILE_CACHE, _minus, _parts, _reps, _sheds, clear_caches
+from .complexes import _PROFILE_CACHE, _dom, _minus, _parts, _reps, _sheds, clear_caches
 from .graph import Graph, bits
 from .graphio import to_graph6
 from .independence import _is_shedding
@@ -88,7 +96,8 @@ def _vd(rec) -> bool:
     if rec.shed is None:
         rec.shed = -1
         adj = rec.graph.adj
-        for i in sorted(_reps(rec), key=lambda i: -adj[i].bit_count()):
+        y = _dom(rec)
+        for i in sorted(_reps(rec), key=lambda i: (i != y, -adj[i].bit_count())):
             # g minus v, then g minus N[v]; a K1 part is a simplex
             if _sheds(rec, i) and all(
                 _vd(p) for mask in (1 << i, adj[i] | 1 << i) for p in _minus(rec, mask) if p.graph.n > 1

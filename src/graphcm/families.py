@@ -1,5 +1,5 @@
 """The two infinite graph families, the three-point extension step that
-generates one of them, and the fixed catalog of named graphs.
+generates one of them, whiskering, and the fixed catalog of named graphs.
 
 ``gen_G(n)`` has vertices x1..x_{3n-1}: the edge x1x2, for each k < n the
 four edges x_{3k-1}x_{3k}, x_{3k}x_{3k+1}, x_{3k+1}x_{3k+2},
@@ -49,6 +49,14 @@ def gen_H(n: int) -> Graph:
     if n < 1:
         raise GraphInputError("family index must be at least 1")
     return gen_G(n).delete_vertices([f"x{3 * n - 1}"])
+
+
+def whiskered(g: Graph) -> Graph:
+    """g with a new pendant neighbour ("w", v) at every vertex v: a
+    Cohen-Macaulay graph over every field (Villarreal, Manuscripta Math.
+    66, 1990)."""
+    leaves = [("w", v) for v in g.labels]
+    return Graph.from_edges(list(g.labels) + leaves, g.edges() + list(zip(g.labels, leaves)))
 
 
 def pinter_extend(g: Graph, x, y) -> Graph:

@@ -11,18 +11,22 @@ that only need existence use the unordered internal enumerator and stop
 early.  Given a vertex mask, the enumerator works on the subgraph it
 induces without building it; the shedding test reads G minus v that way.
 
-A vertex v of G is *shedding* (Woodroofe) when no maximal independent set
-of G minus v avoids N(v).  Each maximal independent set S of G minus v is
-one of two kinds: if S meets N(v) it is maximal in G too, and if it misses
-N(v) then S + v is.  On a well-covered G the first kind has alpha(G)
-vertices and the second alpha(G) - 1.  So G minus v is well-covered with
-alpha(G minus v) = alpha(G) iff v is shedding, and G is W2 iff it is
-well-covered and every vertex sheds.  A doubly Cohen-Macaulay graph has
-both properties for every v, so it is W2.  The class records of
-``complexes`` keep shedding verdicts, at one vertex per automorphism
-orbit, for W2 (the doubly-CM test, ``recognition.classify``) and the
-search of ``decomposability``; ``is_w2`` here tests every vertex of the
-graph it is given, independently of any record or homology.
+A vertex v of G is *shedding* (Woodroofe, Proc. AMS 137, 2009) when no
+maximal independent set of G minus v avoids N(v).  Each maximal
+independent set S of G minus v is one of two kinds: if S meets N(v) it is
+maximal in G too, and if it misses N(v) then S + v is.  On a well-covered
+G the first kind has alpha(G) vertices and the second alpha(G) - 1.  So G
+minus v is well-covered with alpha(G minus v) = alpha(G) iff v is
+shedding, and G is W2 iff it is well-covered and every vertex sheds.  A
+doubly Cohen-Macaulay graph has both properties for every v, so it is W2.
+A vertex y that *dominates* a neighbour x, N[x] inside N[y], sheds
+(Woodroofe, Lemma 6): a maximal independent set of G minus y that missed
+N(y) would miss N[x] and could take x.  The shedding test accepts such a y
+without enumerating.  The class records of ``complexes`` keep shedding
+verdicts, at one vertex per automorphism orbit, for W2 (the doubly-CM
+test, ``recognition.classify``) and the search of ``decomposability``;
+``is_w2`` here tests every vertex of the graph it is given, independently
+of any record or homology.
 """
 
 from __future__ import annotations
@@ -81,9 +85,16 @@ def _mis_masks(g: Graph, within: int = -1):
             return
 
 
+def _dominates(adj, y: int) -> bool:
+    """True iff N[x] lies inside N[y] for some neighbour x of y."""
+    closed = adj[y] | 1 << y
+    return any(not adj[x] & ~closed for x in bits(adj[y]))
+
+
 def _is_shedding(g: Graph, i: int) -> bool:
-    """True iff every maximal independent set of g minus vertex i meets N(i)."""
-    return all(m & g.adj[i] for m in _mis_masks(g, g.full_mask & ~(1 << i)))
+    """True iff every maximal independent set of g minus vertex i meets N(i);
+    a dominating i sheds with no enumeration (see the module docstring)."""
+    return _dominates(g.adj, i) or all(m & g.adj[i] for m in _mis_masks(g, g.full_mask & ~(1 << i)))
 
 
 def maximal_independent_sets(g: Graph):

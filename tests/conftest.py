@@ -342,6 +342,21 @@ def sparse_graphs(draw, min_n=1, max_n=12):
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def dominated_graphs(draw, max_n=7):
+    """A graph on at most max_n vertices plus one new vertex that makes a
+    dominated pair with a vertex x: a leaf at x (x dominates it), a closed
+    twin of x, or a closed twin with more neighbours (it dominates x)."""
+    base = draw(graphs(min_n=1, max_n=max_n))
+    n = base.n
+    x = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(("leaf", "twin", "more")))
+    near = {x} if shape == "leaf" else {x} | set(bits(base.adj[x]))
+    if shape == "more":
+        near |= set(draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    return Graph.from_edges(n + 1, base.edges() + [(v, n) for v in sorted(near)])
+
+
 @pytest.fixture(scope="session")
 def small_connected():
     """All connected graphs with up to 5 vertices, once per session."""

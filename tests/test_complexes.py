@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_reduced_betti, graphs, to_nx
+from conftest import brute_alpha, brute_reduced_betti, dominated_graphs, graphs, to_nx
 
 from graphcm import complexes, linalg
 from graphcm.complexes import (
@@ -293,7 +293,10 @@ def test_relative_complex_betti_match_all_faces(g):
     faces = [frozenset(g.index(v) for v in f) for f in independence_complex(g).faces()]
     for char in (0, 2, 3):
         complexes.clear_caches()
-        assert graph_betti(g, char) == brute_reduced_betti(faces, char)
+        want = brute_reduced_betti(faces, char)
+        assert graph_betti(g, char) == want
+        # graph_betti splits the classes with a leaf; rank g's own cells too
+        assert g.n == 0 or complexes._profile_from_cards(complexes._relative_cells(g), char) == want
 
 
 def _squares_to_zero(g) -> bool:
@@ -326,7 +329,7 @@ def test_relative_boundary_of_the_families_squares_to_zero():
 def test_relative_complex_ranks_fewer_cells_than_faces(monkeypatch):
     cells = []
     relative_cells = complexes._relative_cells
-    monkeypatch.setattr(complexes, "_relative_cells", lambda g: cells.append(out := relative_cells(g)) or out)
+    monkeypatch.setattr(complexes, "_relative_cells", lambda *args: cells.append(out := relative_cells(*args)) or out)
     complexes.clear_caches()
     g = gen_G(5)
     graph_betti(g, 2)
@@ -334,6 +337,46 @@ def test_relative_complex_ranks_fewer_cells_than_faces(monkeypatch):
     assert sum(map(len, cells[0])) < len(independence_complex(g).faces())
     # the profile still runs to the top cardinality, alpha(G5) = 5
     assert len(cells[0]) == independence_number(g) + 1 and cells[0][0] == []
+
+
+# -- the split at a dominating vertex ---------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominated_graphs())
+def test_split_betti_and_alpha_match_all_faces(g):
+    faces = [frozenset(g.index(v) for v in f) for f in independence_complex(g).faces()]
+    complexes.clear_caches()
+    parts = complexes._parts(g)
+    assert any(complexes._dom(p) >= 0 for p in parts)
+    # alpha first, so it comes from the split and not from a profile's length
+    assert sum(map(complexes._alpha, parts)) == brute_alpha(g)
+    for char in (0, 2, 3):
+        assert graph_betti(g, char) == brute_reduced_betti(faces, char)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominated_graphs())
+def test_split_cm_matches_reisner_face_by_face(g):
+    bare = independence_complex(g)
+    complexes.clear_caches()
+    for char in (0, 2, 3):
+        assert is_cm_graph(g, char) == is_cm(bare, FieldSpec(char))
+
+
+def test_the_cm_split_needs_the_alpha_condition():
+    # P3 splits at its middle vertex y into G - y = 2 K1 and G - N[y] = K0,
+    # both CM; but alpha(G - y) = 2 = alpha(G) while alpha(G - N[y]) + 1 = 1,
+    # and P3 is not CM
+    complexes.clear_caches()
+    g = path_graph(3)
+    (rec,) = complexes._parts(g)
+    assert complexes._dom(rec) == 1
+    minus, link = complexes._split(rec)
+    assert len(minus) == 2 and link == ()
+    assert all(complexes._reisner(p, 0) for p in minus)
+    assert [sum(map(complexes._alpha, side)) for side in (minus, link)] == [2, 0]
+    assert not is_cm_graph(g, 0) and not is_cm(independence_complex(g), FieldSpec(0))
 
 
 def test_recursions_leave_no_reference_cycle():

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import dominated_graphs, graphs
 
 from graphcm import complexes, decomposability
 from graphcm.canon import canonical_order
@@ -125,6 +125,16 @@ def test_graph_recursion_equals_complex_definition(small_connected):
 @given(graphs(max_n=6))
 def test_graph_recursion_equals_complex_definition_random(g):
     assert is_vertex_decomposable(g)[0] == _vd_complex(independence_complex(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dominated_graphs(max_n=6))
+def test_split_vd_matches_complex_definition(g):
+    # the search tries a dominating vertex first; its certificates replay
+    clear_caches()
+    ok, cert = is_vertex_decomposable(g, want_certificate=True)
+    assert ok == _vd_complex(independence_complex(g))
+    assert cert is None if not ok else replay_certificate(g, cert)
 
 
 @settings(max_examples=30, deadline=None)

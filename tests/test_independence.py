@@ -5,10 +5,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_alpha, brute_maximal_independent_sets, graphs, to_nx
+from conftest import brute_alpha, brute_independent_sets, brute_maximal_independent_sets, dominated_graphs, graphs, to_nx
 
 from graphcm.graph import Graph, bits, complete_graph, cycle_graph, disjoint_union, path_graph
 from graphcm.independence import (
+    _dominates,
     _is_shedding,
     _mis_masks,
     independence_number,
@@ -99,6 +100,20 @@ def test_w2_matches_definition_on_atlas():
 @given(graphs(1, 8))
 def test_w2_matches_definition(g):
     assert is_w2(g) == _brute_is_w2(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominated_graphs())
+def test_dominating_vertices_shed(g):
+    # the fast path of the shedding test against the definition, on G - y
+    # enumerated from the independent sets of G that miss y
+    dominating = [y for y in range(g.n) if _dominates(g.adj, y)]
+    assert dominating
+    for y in dominating:
+        indep = {m for m in brute_independent_sets(g) if not m >> y & 1}
+        maximal = [m for m in indep if all(m | 1 << v not in indep for v in range(g.n) if not m >> v & 1)]
+        assert all(m & g.adj[y] for m in maximal)
+        assert _is_shedding(g, y)
 
 
 # -- past one table byte: graphs on 9 to 24 vertices ----------------------------------
