@@ -41,6 +41,19 @@ def _cm(g):
     return is_cm_graph(g, 0)
 
 
+def _gorenstein(g):
+    from graphcm.complexes import is_gorenstein_graph
+
+    return is_gorenstein_graph(g, 0)
+
+
+def _classify(g):
+    from graphcm.recognition import classify
+
+    r = classify(g, (0, 2))
+    return f"well-covered {r.well_covered}, W2 {r.w2}, CM {r.cm}, Gorenstein {r.gorenstein}"
+
+
 def _betti(char):
     def call(g):
         from graphcm.complexes import graph_betti
@@ -70,12 +83,15 @@ def _family(name, k):
 # (input, call, graph builder, engine)
 ROWS = [(f"whiskered P{k}", "is_cm_graph, char 0", lambda k=k: _whiskered_path(k), _cm) for k in (12, 14, 16, 24, 32)]
 ROWS += [("whiskered P32", f"graph_betti, char {c}", lambda: _whiskered_path(32), _betti(c)) for c in (0, 2)]
-ROWS += [("whiskered P32", "is_vertex_decomposable + replay", lambda: _whiskered_path(32), _vd)]
+ROWS += [("whiskered P32", call, lambda: _whiskered_path(32), engine)
+         for call, engine in (("is_vertex_decomposable + replay", _vd), ("is_gorenstein_graph, char 0", _gorenstein),
+                              ("classify, chars 0 and 2", _classify))]
 for seed in (1, 2, 3):
     tree = f"whiskered random tree, 32 base vertices, seed {seed}"
     ROWS += [(tree, call, lambda seed=seed: _whiskered_tree(32, seed), engine)
              for call, engine in (("is_cm_graph, char 0", _cm), ("graph_betti, char 0", _betti(0)),
-                                  ("is_vertex_decomposable + replay", _vd))]
+                                  ("is_vertex_decomposable + replay", _vd),
+                                  ("is_gorenstein_graph, char 0", _gorenstein))]
 ROWS += [(f"gen_H({k})", "is_cm_graph, char 0", _family("gen_H", k), _cm) for k in (10, 12)]
 
 

@@ -34,7 +34,9 @@ over every field, indexed by cardinality, b_c(G) = b_c(G minus y) +
 b_{c-1}(G minus N[y]) (``_betti``), and alpha(G) = max(alpha(G minus y),
 alpha(G minus N[y]) + 1) (``_alpha``).  G is CM iff G minus y and
 G minus N[y] are, with alpha(G minus y) = alpha(G) = alpha(G minus N[y]) + 1
-(``_reisner``); this needs no purity test.  Let d = alpha(G) - 1.
+(``_reisner``), and G is well-covered iff G minus y and G minus N[y] are,
+with the same equation (``_pure``); both read it from ``_split_holds``.
+Let d = alpha(G) - 1.
 * If: Delta(G) glues Delta(G minus y) and the cone y * Delta(G minus N[y]),
   CM of dimension d, along Delta(G minus N[y]), CM of dimension d - 1, so
   Mayer-Vietoris on each link makes it CM (the gluing lemma).
@@ -46,6 +48,13 @@ G minus N[y] are, with alpha(G minus y) = alpha(G) = alpha(G minus N[y]) + 1
   Mayer-Vietoris on lk F = Delta(G minus N[F]) splits as above and
   H~_i(lk F minus y) injects into H~_i(lk F), zero below the dimension
   d - |F| of both links.
+* Purity: a maximal independent set of G that holds y is y plus one of
+  G minus N[y], and one that misses y is maximal in G minus y.  Conversely
+  every maximal independent set of G minus y meets N(y), because y sheds,
+  so it is maximal in G.  So the two kinds are exactly the two sides'
+  maximal independent sets, of sizes those of G minus y and those of
+  G minus N[y] plus one, and all have one size iff each side is
+  well-covered and alpha(G minus y) = alpha(G minus N[y]) + 1.
 
 A class with no dominating vertex has its Betti numbers ranked on a
 smaller complex than Delta(G).  Take a vertex w.  Delta(G) is
@@ -82,16 +91,20 @@ followed by reference.  The children of the link recursions (the distinct
 classes of G minus N[v] over the vertices v), the graphs G minus v for
 doubly CM, the edge punches G minus N(x) | N(y) for the square criterion
 and both branches of the vertex-decomposability search all read it, so a
-punch is made once, whichever test reaches it first.  The record also
-holds its purity; its independence number; its dominating vertex; its
-vertices' shedding verdicts; its vertex-decomposability verdict
+punch is made once, whichever test reaches it first.  A punch or a side
+of a split is tested as a whole by one rule, ``_holds``: its parts'
+independence numbers add up to the one it must have, and every part passes
+the test, read from its own record.  The record also holds its purity; its
+independence number; its dominating vertex; its vertices' shedding
+verdicts; its vertex-decomposability verdict
 (``decomposability``); and per characteristic its Betti numbers, its
 Reisner verdict and its Stanley verdict.  A second field, the other
 engine or another entry point on a class already met computes no
 canonical form again.  The Stanley engine, and the Reisner engine on a
 class that does not split, test purity before any homology: Gorenstein*
-implies Cohen-Macaulay, which implies pure, and purity needs only the
-maximal independent sets.
+implies Cohen-Macaulay, which implies pure, and purity needs no homology,
+only the maximal independent sets of a class that does not split, or the
+sides' purity and independence numbers of one that does.
 
 Doubly CM is decided cheapest test first: Reisner, then Gorenstein*, then
 W2, and only then the graphs g minus v.  Two implications make this exact.
@@ -119,7 +132,8 @@ W2, and only then the graphs g minus v.  Two implications make this exact.
 W2 (``_w2``) reads shedding verdicts (``_sheds``, shared with the VD
 search) at one vertex per orbit, as shedding is invariant under
 automorphisms; ``classify`` reads alpha, well-coveredness and W2 off the
-records, so one enumeration of a class's maximal independent sets serves all.
+records, so a class's maximal independent sets are enumerated at most once,
+and only when it has no dominating vertex.
 
 Components come first: a disconnected graph is never searched or
 face-enumerated, and every entry point reads it off its components'
@@ -687,9 +701,23 @@ def _split(rec: _Class) -> tuple:
     return _minus(rec, 1 << y), _minus(rec, rec.graph.adj[y] | 1 << y)
 
 
+def _holds(parts, alpha: int, test, *args) -> bool:
+    """The parts' independence numbers add up to alpha, and every part
+    passes test; every alpha is read before any test."""
+    return sum(map(_alpha, parts)) == alpha and all(test(p, *args) for p in parts)
+
+
+def _split_holds(rec: _Class, test, *args) -> bool:
+    """At the dominating y: alpha(G minus y) = alpha(G minus N[y]) + 1, and
+    every part of both sides passes test (module docstring).  alpha(G) is
+    the larger side, so the one equation holds both."""
+    minus, link = _split(rec)
+    return _holds(minus, sum(map(_alpha, link)) + 1, test, *args) and all(test(p, *args) for p in link)
+
+
 def _pure(rec: _Class) -> bool:
     if rec.pure is None:
-        rec.pure = is_well_covered(rec.graph)
+        rec.pure = _split_holds(rec, _pure) if _dom(rec) >= 0 else is_well_covered(rec.graph)
     return rec.pure
 
 
@@ -714,11 +742,6 @@ def _w2(rec: _Class) -> bool:
     orbit: an automorphism carrying v to w carries the maximal independent
     sets of g minus v onto those of g minus w, and N(v) onto N(w)."""
     return _pure(rec) and all(_sheds(rec, v) for v in _reps(rec))
-
-
-def _punch_cm(punch: tuple, alpha: int, char: int) -> bool:
-    """A punch, given as its parts, is CM with independence number alpha."""
-    return sum(map(_alpha, punch)) == alpha and all(_reisner(p, char) for p in punch)
 
 
 def _join(parts, char: int) -> tuple:
@@ -769,11 +792,7 @@ def _reisner(rec: _Class, char: int) -> bool:
     out = rec.cm.get(char)
     if out is None:
         if _dom(rec) >= 0:
-            # alpha(G) is the larger of the two sides, so one equation holds both
-            minus, link = _split(rec)
-            out = sum(map(_alpha, minus)) == sum(map(_alpha, link)) + 1 and all(
-                _reisner(p, char) for p in minus + link
-            )
+            out = _split_holds(rec, _reisner, char)
         else:
             # CM complexes are pure
             out = (
@@ -838,7 +857,7 @@ def _doubly_cm(rec: _Class, char: int) -> bool:
     (see the module docstring for both implications)."""
     return _reisner(rec, char) and (
         _gorenstein_star(rec, char)
-        or _w2(rec) and all(_punch_cm(d, _alpha(rec), char) for d in _deletions(rec))
+        or _w2(rec) and all(_holds(d, _alpha(rec), _reisner, char) for d in _deletions(rec))
     )
 
 
@@ -863,7 +882,7 @@ def edge_punches_cm(g: Graph, field) -> bool:
     parts = _parts(g)
     a = sum(map(_alpha, parts))
     return all(
-        _punch_cm(e + parts[:i] + parts[i + 1:], a - 1, char)
+        _holds(e + parts[:i] + parts[i + 1:], a - 1, _reisner, char)
         for i, p in enumerate(parts)
         for e in _edge_punches(p)
     )

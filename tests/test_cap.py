@@ -2,8 +2,9 @@
 
 A whiskered graph is Cohen-Macaulay over every field (Villarreal) and
 vertex decomposable, and each stem dominates its leaf, so Betti numbers,
-CM and VD split all the way down.  Each check runs on a cold table and
-must finish within BOUND_S seconds.
+CM, purity and VD split all the way down.  Its complex is acyclic, so it is
+no sphere and not Gorenstein.  Each check runs on a cold table and must
+finish within BOUND_S seconds.
 """
 
 import random
@@ -12,7 +13,7 @@ import time
 import pytest
 
 from graphcm import complexes
-from graphcm.complexes import graph_betti, is_cm_graph
+from graphcm.complexes import graph_betti, is_cm_graph, is_gorenstein_graph
 from graphcm.decomposability import is_vertex_decomposable, replay_certificate
 from graphcm.families import whiskered
 from graphcm.graph import Graph, path_graph
@@ -47,6 +48,7 @@ def test_whiskered_graphs_at_the_cap(base):
     # Delta(G) is acyclic; its profile runs to alpha = base.n
     for char in (0, 2):
         assert _timed(lambda: graph_betti(g, char)) == (0,) * (base.n + 1)
+        assert not _timed(lambda: is_gorenstein_graph(g, char))
     ok, cert = _timed(lambda: is_vertex_decomposable(g, want_certificate=True))
     assert ok
     assert _timed(lambda: replay_certificate(g, cert))

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_alpha, brute_reduced_betti, dominated_graphs, graphs, to_nx
+from conftest import (
+    brute_alpha,
+    brute_maximal_independent_sets,
+    brute_reduced_betti,
+    dominated_graphs,
+    graphs,
+    to_nx,
+)
 
 from graphcm import complexes, linalg
 from graphcm.complexes import (
@@ -377,6 +384,59 @@ def test_the_cm_split_needs_the_alpha_condition():
     assert all(complexes._reisner(p, 0) for p in minus)
     assert [sum(map(complexes._alpha, side)) for side in (minus, link)] == [2, 0]
     assert not is_cm_graph(g, 0) and not is_cm(independence_complex(g), FieldSpec(0))
+
+
+def _record_enumerations(monkeypatch) -> list:
+    """The adjacency of each graph a maximal-independent-set enumeration
+    runs on, from now on."""
+    from graphcm import independence
+
+    seen = []
+    enumerate_mis = independence._mis_masks
+    monkeypatch.setattr(
+        independence,
+        "_mis_masks",
+        lambda g, within=-1: seen.append(g.keep_mask(g.full_mask & within).adj) or enumerate_mis(g, within),
+    )
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominated_graphs())
+def test_split_purity_matches_the_maximal_independent_sets(g):
+    from graphcm.recognition import classify
+
+    complexes.clear_caches()
+    sizes = {mask.bit_count() for mask in brute_maximal_independent_sets(g)}
+    assert classify(g).well_covered == is_well_covered(g) == (len(sizes) == 1)
+
+
+def test_split_classes_decide_purity_without_enumerating(monkeypatch):
+    # every class met on whiskered P8 splits at a stem, down to K1 parts
+    from graphcm.families import whiskered
+    from graphcm.independence import _dominates
+
+    seen = _record_enumerations(monkeypatch)
+    g = whiskered(path_graph(8))
+    for char in (0, 2):
+        complexes.clear_caches()
+        assert is_cm_graph(g, char) and not is_gorenstein_graph(g, char)
+    assert not [adj for adj in seen if any(_dominates(adj, y) for y in range(len(adj)))]
+
+
+def test_the_purity_split_needs_the_alpha_condition(monkeypatch):
+    # P3's sides, G - y = 2 K1 and G - N[y] = K0, are each well-covered, but
+    # alpha(G - y) = 2 while alpha(G - N[y]) + 1 = 1, and P3 is not
+    seen = _record_enumerations(monkeypatch)
+    complexes.clear_caches()
+    g = path_graph(3)
+    (rec,) = complexes._parts(g)
+    minus, link = complexes._split(rec)
+    assert len(minus) == 2 and link == ()
+    assert all(map(complexes._pure, minus)) and not complexes._pure(rec)
+    # only the K1 part was enumerated, never P3 itself
+    assert [len(adj) for adj in seen] == [1]
+    assert not is_well_covered(g)
 
 
 def test_recursions_leave_no_reference_cycle():
@@ -909,17 +969,10 @@ def test_classify_of_the_families_builds_no_deletions(monkeypatch):
 
 def test_classify_enumerates_the_maximal_independent_sets_once(monkeypatch):
     # one enumeration on the record serves the report, purity and the doubly-CM rule
-    from graphcm import independence
     from graphcm.families import gen_H
     from graphcm.recognition import classify
 
-    seen = []
-    enumerate_mis = independence._mis_masks
-    monkeypatch.setattr(
-        independence,
-        "_mis_masks",
-        lambda g, within=-1: seen.append(g.keep_mask(g.full_mask & within).adj) or enumerate_mis(g, within),
-    )
+    seen = _record_enumerations(monkeypatch)
     complexes.clear_caches()
     g = gen_G(5)
     report = classify(g)

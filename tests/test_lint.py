@@ -331,3 +331,56 @@ def test_complexes_minus_alone_punches_the_class_records():
     assert _punchers((package / "complexes.py").read_text()) == ["_parts"]
     assert _punchers((package / "decomposability.py").read_text()) == ["_walk"]
     assert _punchers((package / "independence.py").read_text()) == []
+
+
+# -- one alpha-sum rule in complexes ------------------------------------------------
+
+
+def _is_alpha_sum(node) -> bool:
+    """``sum(map(_alpha, ...))``: the independence number of a punch's parts."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "sum"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Call)
+        and getattr(node.args[0].func, "id", None) == "map"
+        and getattr(node.args[0].args[0], "id", None) == "_alpha"
+    )
+
+
+def _alpha_sum_tests(source: str) -> list:
+    """(line, function) of each comparison in a module-level function with
+    an operand that holds a sum of the parts' independence numbers."""
+    out = []
+    for func in ast.parse(source).body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Compare) and any(
+                    _is_alpha_sum(sub) for side in [node.left, *node.comparators] for sub in ast.walk(side)
+                ):
+                    out.append((node.lineno, func.name))
+    return sorted(out)
+
+
+def test_detector_flags_each_hand_written_alpha_sum():
+    # the punch rule and the split of _reisner, each written out by hand;
+    # alpha's own split takes a max and tests nothing
+    parent = (
+        "def _punch_cm(punch, alpha, char):\n"
+        "    return sum(map(_alpha, punch)) == alpha and all(_reisner(p, char) for p in punch)\n"
+        "def _reisner(rec, char):\n"
+        "    minus, link = _split(rec)\n"
+        "    return sum(map(_alpha, minus)) == sum(map(_alpha, link)) + 1 and all(\n"
+        "        _reisner(p, char) for p in minus + link\n"
+        "    )\n"
+        "def _alpha(rec):\n"
+        "    minus, link = _split(rec)\n"
+        "    return max(sum(map(_alpha, minus)), sum(map(_alpha, link)) + 1)\n"
+    )
+    assert _alpha_sum_tests(parent) == [(2, "_punch_cm"), (5, "_reisner")]
+
+
+def test_complexes_holds_alone_tests_an_alpha_sum():
+    # CM, purity, doubly CM and the edge punches all read the rule from _holds
+    source = (MODULES[0].parent / "complexes.py").read_text()
+    assert [name for _, name in _alpha_sum_tests(source)] == ["_holds"]
