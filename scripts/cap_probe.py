@@ -92,7 +92,8 @@ for seed in (1, 2, 3):
              for call, engine in (("is_cm_graph, char 0", _cm), ("graph_betti, char 0", _betti(0)),
                                   ("is_vertex_decomposable + replay", _vd),
                                   ("is_gorenstein_graph, char 0", _gorenstein))]
-ROWS += [(f"gen_H({k})", "is_cm_graph, char 0", _family("gen_H", k), _cm) for k in (10, 12)]
+ROWS += [(f"gen_H({k})", "is_cm_graph, char 0", _family("gen_H", k), _cm) for k in (10, 12, 16, 21)]
+ROWS += [(f"gen_G({k})", "is_gorenstein_graph, char 0", _family("gen_G", k), _gorenstein) for k in (10, 12, 14, 16, 18, 21)]
 
 
 def run_child(index: int) -> None:

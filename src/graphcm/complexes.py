@@ -57,24 +57,29 @@ Let d = alpha(G) - 1.
   well-covered and alpha(G minus y) = alpha(G minus N[y]) + 1.
 
 A class with no dominating vertex has its Betti numbers ranked on a
-smaller complex than Delta(G).  Take a vertex w.  Delta(G) is
-Delta(G minus w) u st w, where the star
-st w = w * Delta(G minus N[w]) is a cone and meets Delta(G minus w) in
-Delta(G minus N[w]) (the splitting used in Jonsson, "Simplicial Complexes
-of Graphs", LNM 1928, 2008).  The cone is acyclic over Z and holds the
-empty face, so the quotient of the augmented chain complexes
-C(Delta)/C(st w) has the reduced homology of Delta, in every degree (the
-lowest included) and over every field; by excision it is the chain
-complex of the pair (Delta(G minus w), Delta(G minus N[w])).  Its cells
-are the faces outside the star: the independent sets of G minus w that
-meet N(w) (``_relative_cells``, for a least-degree w).  Its boundary is
-the usual one with every term that lands in Delta(G minus N[w]) dropped;
-a dropped term keeps its place in the signs of the others
-(``_boundary_columns``).  It is still a chain complex, d*d = 0, so the
-certification of the rational ranks above holds unchanged.  The empty
-face is no cell, so the number at cardinality 0 is 0, and the profile
-keeps its length alpha(G) + 1, with
-alpha(G) = max(alpha(G minus w), alpha(G minus N[w]) + 1).
+smaller complex than Delta = Delta(G).  For a vertex w the star
+st w = {F in Delta : F u w in Delta} = w * Delta(G minus N[w]) is a cone
+(the splitting used in Jonsson, "Simplicial Complexes of Graphs", LNM 1928,
+2008).  Take an independent set W = {w_1, ..., w_k} (``_relative_cells``
+builds a maximal one greedily: of the vertices left, one of least degree
+in G, the least index among ties, then its closed neighbourhood deleted,
+repeated).
+For non-adjacent w_i and w_j, st w_i n st w_j is a cone on w_j: a face that
+misses N(w_i) and N(w_j) can take both vertices.  So
+(st w_1 u ... u st w_{j-1}) n st w_j is a cone on w_j, and by induction
+with Mayer-Vietoris the union S of the stars is acyclic in the augmented
+chain complex over Z (each cone holds the empty face).  Hence the quotient
+C(Delta)/C(S) of the augmented chain complexes has the reduced homology of
+Delta, in every degree (the lowest included) and over every field.  Its
+cells are the faces outside S, F u w outside Delta for every w in W: the
+independent sets that meet N(w) for every w in W.  Its boundary is the
+usual one with every term that lands in S dropped; a dropped term keeps its
+place in the signs of the others (``_boundary_columns``).  It is still a
+chain complex, d*d = 0, so the certification of the rational ranks above
+holds unchanged.  The empty face is no cell, so the number at cardinality
+0 is 0, and the profile keeps its length alpha(G) + 1.  W = {w} is the pair
+(Delta(G minus w), Delta(G minus N[w])) by excision; W only needs to be
+independent, and maximality makes the quotient smallest.
 
 The functions on a ``SimplicialComplex`` (``link``, ``delete``, ``core``,
 ``betti_profile``, ``is_cm``, ``is_doubly_cm``) work face by face on any
@@ -104,7 +109,12 @@ canonical form again.  The Stanley engine, and the Reisner engine on a
 class that does not split, test purity before any homology: Gorenstein*
 implies Cohen-Macaulay, which implies pure, and purity needs no homology,
 only the maximal independent sets of a class that does not split, or the
-sides' purity and independence numbers of one that does.
+sides' purity and independence numbers of one that does.  Where the
+enumeration finds one size, that size is alpha.  The children of a pure
+class are pure, and so are the sides of a pure split, so below a pure
+class the recursions enumerate nothing: the children and sides take their
+purity from it, and alpha from a greedy maximal independent set
+(``_known_pure``).
 
 Doubly CM is decided cheapest test first: Reisner, then Gorenstein*, then
 W2, and only then the graphs g minus v.  Two implications make this exact.
@@ -169,7 +179,7 @@ from dataclasses import dataclass, field as dc_field
 from . import canon, linalg
 from .canon import automorphisms, canonical_form
 from .graph import Graph, GraphInputError, bits
-from .independence import _dominates, _is_shedding, _max_independent, _mis_masks, _nonadj, independence_number, is_well_covered
+from .independence import _dominates, _greedy_independent, _is_shedding, _max_independent, _mis_masks, _nonadj, _well_covered_alpha, independence_number
 
 
 def _char(field) -> int:
@@ -396,42 +406,40 @@ def _faces_by_card_from_complex(delta: SimplicialComplex):
 
 
 def _relative_cells(g: Graph, alpha: int | None = None) -> list:
-    """The cells of the pair (Delta(g minus w), Delta(g minus N[w])) for a
-    least-degree vertex w of g (the least such index): the independent
-    sets of g minus w that meet N(w) (see the module docstring), as
-    bitmasks listed by cardinality over alpha(g) + 1 levels.  A cell is
-    walked from its least vertex u in N(w), so each is listed once.  A
-    largest independent set of g minus w is a cell or lies in g minus
-    N[w], so unless the caller knows alpha(g), it is the larger of the top
-    cell and alpha(g minus N[w]) + 1; the branch and bound for the second
-    starts from the first."""
+    """The cells of the quotient of Delta(g) by the stars of a greedy
+    maximal independent set W (see the module docstring): the independent
+    sets of g that meet N(w) for every w in W, as bitmasks listed by
+    cardinality over alpha(g) + 1 levels.  The walk branches on the unmet w
+    with the fewest free neighbours, taking the cell's least vertex u in
+    N(w) and barring the earlier ones, so each cell is listed once; a set
+    that meets every N(w) grows by any free vertices, in increasing order.
+    Unless the caller knows alpha(g), the branch and bound for it starts
+    from the larger of |W| and the top cell, W being independent."""
     adj = g.adj
-    w = min(range(g.n), key=lambda v: adj[v].bit_count())
-    near = adj[w]
     nonadj = _nonadj(g)
-    cells = [[], []]
-    stack = []  # (cell, the vertices that may join it)
-    for u in bits(near):
-        cells[1].append(1 << u)
-        rest = nonadj[u] & ~(near & ((1 << u) - 1))
-        if rest:
-            stack.append((1 << u, rest))
+    stars = []  # N(w) for w in W
+    free = left = g.full_mask
+    while left:
+        w = min(bits(left), key=lambda v: adj[v].bit_count())
+        stars.append(adj[w])
+        left &= ~(adj[w] | 1 << w)
+        free ^= 1 << w  # a cell meets N(w), so it never holds w
+    cells = [[] for _ in range(g.n + 1 if alpha is None else alpha + 1)]
+    stack = [(0, free, stars)]  # (independent set, the vertices that may join it, the N(w) it misses)
     while stack:
-        cur, allowed = stack.pop()
-        size = cur.bit_count() + 1
-        if size == len(cells):
-            cells.append([])
-        level = cells[size]
-        for v in bits(allowed):
-            cell = cur | 1 << v
-            level.append(cell)
-            rest = allowed & nonadj[v] & -(2 << v)
-            if rest:
-                stack.append((cell, rest))
+        cur, free, unmet = stack.pop()
+        if unmet:
+            near = min(unmet, key=lambda s: (s & free).bit_count())
+            for u in bits(near & free):
+                rest = free & nonadj[u] & ~(near & ((1 << u) - 1))
+                stack.append((cur | 1 << u, rest, [s for s in unmet if not s >> u & 1]))
+        else:
+            cells[cur.bit_count()].append(cur)
+            stack.extend((cur | 1 << v, free & nonadj[v] & -(2 << v), unmet) for v in bits(free))
     if alpha is None:
-        # with no cell at all (N(w) empty), alpha(g minus N[w]) + 1 >= 1 wins
-        alpha = _max_independent(adj, g.full_mask & ~(near | 1 << w), 0, len(cells) - 2) + 1
-    return [sorted(level) for level in cells] + [[]] * (alpha + 1 - len(cells))
+        top = max((c for c, level in enumerate(cells) if level), default=0)
+        alpha = _max_independent(adj, g.full_mask, 0, max(len(stars), top))
+    return [sorted(level) for level in cells[:alpha + 1]]
 
 
 def _boundary_columns(prev_faces, cur_faces):
@@ -526,7 +534,8 @@ def _profiles(faces_by_card, char: int) -> dict:
     """Reduced Betti numbers indexed by cardinality (index c = dim c-1),
     keyed by characteristic; faces_by_card[c] lists the faces of
     cardinality c as bitmasks: every face of a complex, or the cells of
-    the relative complex of _relative_cells, whose homology is the same.
+    its quotient by the stars of an independent set W (_relative_cells),
+    which has the same homology; a boundary term that is no cell is None.
     Over Q the GF(2) ranks are the first stage of _rational_ranks, so the
     GF(2) profile comes with the rational one."""
     if not faces_by_card:
@@ -686,6 +695,21 @@ def _edge_punches(rec: _Class) -> tuple:
     )
 
 
+def _known_pure(parts) -> tuple:
+    """The parts of a punch of a pure class that is pure too, each marked
+    pure: a part with no purity yet takes it with no enumeration, and alpha
+    with it, as on a well-covered graph a greedy maximal independent set is
+    a largest one.  The children of a pure class are pure, as the link of a
+    face in a pure complex is pure and a join is pure iff its factors are;
+    so are both sides of a pure split (module docstring)."""
+    for p in parts:
+        if p.pure is None:
+            p.pure = True
+            if p.alpha is None:
+                p.alpha = _greedy_independent(p.graph)
+    return parts
+
+
 def _dom(rec: _Class) -> int:
     """The first orbit representative y that dominates a neighbour x,
     N[x] inside N[y], or -1: the class splits at y (module docstring)."""
@@ -716,8 +740,15 @@ def _split_holds(rec: _Class, test, *args) -> bool:
 
 
 def _pure(rec: _Class) -> bool:
+    """Well-coveredness; an enumeration that finds one size finds alpha."""
     if rec.pure is None:
-        rec.pure = _split_holds(rec, _pure) if _dom(rec) >= 0 else is_well_covered(rec.graph)
+        if _dom(rec) >= 0:
+            rec.pure = _split_holds(rec, _pure)
+        else:
+            size = _well_covered_alpha(rec.graph)
+            rec.pure = size is not None
+            if rec.pure:
+                rec.alpha = size
     return rec.pure
 
 
@@ -765,7 +796,10 @@ def _betti(rec: _Class, char: int) -> tuple:
     out = rec.betti.get(char)
     if out is None:
         if _dom(rec) >= 0:
-            minus, link = (_join(punch, char) for punch in _split(rec))
+            sides = _split(rec)
+            if rec.pure:
+                _known_pure(sides[0] + sides[1])
+            minus, link = (_join(punch, char) for punch in sides)
             # b_c(G) = b_c(G minus y) + b_{c-1}(G minus N[y])
             out = [0] * max(len(minus), len(link) + 1)
             for c, b in itertools.chain(enumerate(minus), enumerate(link, 1)):
@@ -798,7 +832,7 @@ def _reisner(rec: _Class, char: int) -> bool:
             out = (
                 _pure(rec)
                 and not any(_betti(rec, char)[:-1])
-                and all(_reisner(child, char) for child in _children(rec))
+                and all(_reisner(child, char) for child in _known_pure(_children(rec)))
             )
         rec.cm[char] = out
     return out
@@ -813,7 +847,7 @@ def _gorenstein_star(rec: _Class, char: int) -> bool:
         out = (
             _pure(rec)
             and _betti(rec, char)[-1] == sum(_betti(rec, char)) == 1
-            and all(_gorenstein_star(child, char) for child in _children(rec))
+            and all(_gorenstein_star(child, char) for child in _known_pure(_children(rec)))
         )
         rec.gor[char] = out
     return out

@@ -19,6 +19,13 @@ G the first kind has alpha(G) vertices and the second alpha(G) - 1.  So G
 minus v is well-covered with alpha(G minus v) = alpha(G) iff v is
 shedding, and G is W2 iff it is well-covered and every vertex sheds.  A
 doubly Cohen-Macaulay graph has both properties for every v, so it is W2.
+The test enumerates the smaller graph G minus N[v]: v sheds iff no maximal
+independent set of G minus N[v] dominates N(v).  A maximal independent set
+S of G minus v that misses N(v) lies in G minus N[v] and is maximal there,
+and every vertex of N(v), being outside S, has a neighbour in S.
+Conversely, a maximal independent set of G minus N[v] that dominates N(v)
+leaves no vertex of G minus v free to join it, so it is maximal in G minus
+v and misses N(v).  The test stops at the first such set.
 A vertex y that *dominates* a neighbour x, N[x] inside N[y], sheds
 (Woodroofe, Lemma 6): a maximal independent set of G minus y that missed
 N(y) would miss N[x] and could take x.  The shedding test accepts such a y
@@ -92,9 +99,14 @@ def _dominates(adj, y: int) -> bool:
 
 
 def _is_shedding(g: Graph, i: int) -> bool:
-    """True iff every maximal independent set of g minus vertex i meets N(i);
-    a dominating i sheds with no enumeration (see the module docstring)."""
-    return _dominates(g.adj, i) or all(m & g.adj[i] for m in _mis_masks(g, g.full_mask & ~(1 << i)))
+    """True iff every maximal independent set of g minus vertex i meets N(i):
+    no maximal independent set of g minus N[i] dominates N(i).  A dominating
+    i sheds with no enumeration (see the module docstring)."""
+    adj = g.adj
+    near = adj[i]
+    return _dominates(adj, i) or not any(
+        all(adj[u] & m for u in bits(near)) for m in _mis_masks(g, g.full_mask & ~(near | 1 << i))
+    )
 
 
 def maximal_independent_sets(g: Graph):
@@ -104,17 +116,23 @@ def maximal_independent_sets(g: Graph):
         yield g.label_set(mask)
 
 
-def independence_number(g: Graph) -> int:
-    """alpha(g), by branch and bound with a greedy start."""
+def _greedy_independent(g: Graph) -> int:
+    """The size of a maximal independent set of g taken greedily, a vertex
+    of least degree among those left at each step: a lower bound on
+    alpha(g), and alpha(g) itself when g is well-covered."""
     adj = g.adj
-    # greedy lower bound: repeatedly take a minimum-degree vertex
-    best = 0
+    size = 0
     cand = g.full_mask
     while cand:
         v = min(bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-        best += 1
+        size += 1
         cand &= ~(adj[v] | 1 << v)
-    return _max_independent(adj, g.full_mask, 0, best)
+    return size
+
+
+def independence_number(g: Graph) -> int:
+    """alpha(g), by branch and bound with a greedy start."""
+    return _max_independent(g.adj, g.full_mask, 0, _greedy_independent(g))
 
 
 def _max_independent(adj, cand: int, size: int, best: int) -> int:
@@ -132,16 +150,22 @@ def _max_independent(adj, cand: int, size: int, best: int) -> int:
     return best
 
 
-def is_well_covered(g: Graph) -> bool:
-    """True iff all maximal independent sets share one cardinality."""
+def _well_covered_alpha(g: Graph) -> int | None:
+    """The one cardinality all maximal independent sets share, alpha(g), or
+    None if they have two; the enumeration stops at the second."""
     size = None
     for mask in _mis_masks(g):
         c = mask.bit_count()
         if size is None:
             size = c
         elif c != size:
-            return False
-    return True
+            return None
+    return size
+
+
+def is_well_covered(g: Graph) -> bool:
+    """True iff all maximal independent sets share one cardinality."""
+    return _well_covered_alpha(g) is not None
 
 
 def independent_set_report(g: Graph) -> IndependentSetReport:

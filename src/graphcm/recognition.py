@@ -507,12 +507,14 @@ def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
     chars = [_char(f) for f in fields]
     girth = g.girth()
     parts = _parts(g)
+    # purity first: an enumeration that finds one size gives alpha with it
+    well_covered = all(map(_pure, parts))
     return ClassificationReport(
         n=g.n,
         m=g.m,
         girth=girth,
         alpha=sum(map(_alpha, parts)),
-        well_covered=all(map(_pure, parts)),
+        well_covered=well_covered,
         w2=all(map(_w2, parts)),
         vertex_decomposable=is_vertex_decomposable(g)[0],
         cm={c: is_cm_graph(g, c) for c in chars},

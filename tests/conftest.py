@@ -357,6 +357,31 @@ def dominated_graphs(draw, max_n=7):
     return Graph.from_edges(n + 1, base.edges() + [(v, n) for v in sorted(near)])
 
 
+@st.composite
+def undominated_graphs(draw, min_n=4, max_n=10):
+    """Connected graphs in which no vertex dominates a neighbour, so that
+    their Betti numbers are ranked on cells, not split: a cycle on n >= 4
+    vertices with chords, relabelled at random.  A chord is skipped if it
+    would make N[x] lie inside N[y] for an edge xy, and, for half the draws,
+    if it would close a triangle, which leaves a triangle-free graph of
+    minimum degree 2."""
+    n = draw(st.integers(min_n, max_n))
+    triangle_free = draw(st.booleans())
+    closed = [1 << v | 1 << (v + 1) % n | 1 << (v - 1) % n for v in range(n)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    for a, b in chords:
+        if closed[a] >> b & 1 or triangle_free and closed[a] & closed[b]:
+            continue
+        trial = list(closed)
+        trial[a] |= 1 << b
+        trial[b] |= 1 << a
+        edges = [(x, y) for x in range(n) for y in range(x + 1, n) if trial[x] >> y & 1]
+        if all(trial[x] & ~trial[y] and trial[y] & ~trial[x] for x, y in edges):
+            closed = trial
+    order = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(order[x], order[y]) for x in range(n) for y in range(x + 1, n) if closed[x] >> y & 1])
+
+
 @pytest.fixture(scope="session")
 def small_connected():
     """All connected graphs with up to 5 vertices, once per session."""

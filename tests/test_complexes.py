@@ -14,6 +14,7 @@ from conftest import (
     dominated_graphs,
     graphs,
     to_nx,
+    undominated_graphs,
 )
 
 from graphcm import complexes, linalg
@@ -295,8 +296,8 @@ def _least_degree_shapes(draw):
 @settings(max_examples=60, deadline=None)
 @given(_least_degree_shapes())
 def test_relative_complex_betti_match_all_faces(g):
-    # the relative complex of one vertex gives the Betti numbers of the
-    # whole face list, over every field
+    # the relative complex of W gives the Betti numbers of the whole face
+    # list, over every field
     faces = [frozenset(g.index(v) for v in f) for f in independence_complex(g).faces()]
     for char in (0, 2, 3):
         complexes.clear_caches()
@@ -331,6 +332,37 @@ def test_relative_boundary_squares_to_zero(g):
 def test_relative_boundary_of_the_families_squares_to_zero():
     for g in (gen_G(3), gen_G(4), gen_H(4), _sd_rp2_graph()):
         assert _squares_to_zero(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(undominated_graphs())
+def test_relative_complex_of_undominated_graphs_matches_all_faces(g):
+    # graph_betti sends exactly these classes to the cells
+    faces = [frozenset(g.index(v) for v in f) for f in independence_complex(g).faces()]
+    for char in (0, 2, 3):
+        complexes.clear_caches()
+        (rec,) = complexes._parts(g)
+        assert complexes._dom(rec) == -1
+        want = brute_reduced_betti(faces, char)
+        assert graph_betti(g, char) == want
+        assert complexes._profile_from_cards(complexes._relative_cells(g), char) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(undominated_graphs())
+def test_relative_boundary_of_undominated_graphs_squares_to_zero(g):
+    assert _squares_to_zero(g)
+
+
+def test_relative_complex_of_g6_ranks_43_cells(monkeypatch):
+    # the stars of W = {0, 15, 2, 6, 9, 12} leave 43 of the 773 cells that
+    # the star of vertex 0 alone leaves
+    cells = []
+    relative_cells = complexes._relative_cells
+    monkeypatch.setattr(complexes, "_relative_cells", lambda *args: cells.append(out := relative_cells(*args)) or out)
+    complexes.clear_caches()
+    graph_betti(gen_G(6), 2)
+    assert [sum(map(len, c)) for c in cells] == [43]
 
 
 def test_relative_complex_ranks_fewer_cells_than_faces(monkeypatch):

@@ -12,6 +12,7 @@ from graphcm.independence import (
     _dominates,
     _is_shedding,
     _mis_masks,
+    _well_covered_alpha,
     independence_number,
     independent_set_report,
     is_w2,
@@ -114,6 +115,24 @@ def test_dominating_vertices_shed(g):
         maximal = [m for m in indep if all(m | 1 << v not in indep for v in range(g.n) if not m >> v & 1)]
         assert all(m & g.adj[y] for m in maximal)
         assert _is_shedding(g, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(1, 9))
+def test_shedding_on_g_minus_the_closed_neighbourhood_matches_g_minus_v(g):
+    # the test reads G - N[v]; the definition reads every maximal
+    # independent set of G - v, here by subset enumeration on G - v itself
+    for v in range(g.n):
+        rest = g.keep_mask(g.full_mask & ~(1 << v))
+        near = [u - (u > v) for u in bits(g.adj[v])]  # N(v) in rest's numbering
+        sheds = all(any(m >> u & 1 for u in near) for m in brute_maximal_independent_sets(rest))
+        assert _is_shedding(g, v) == sheds
+
+
+def test_well_covered_alpha_is_the_common_size():
+    assert _well_covered_alpha(cycle_graph(7)) == 3 and _well_covered_alpha(gen_G(5)) == 5
+    assert _well_covered_alpha(path_graph(3)) is None
+    assert _well_covered_alpha(Graph.empty(0)) == 0
 
 
 # -- past one table byte: graphs on 9 to 24 vertices ----------------------------------

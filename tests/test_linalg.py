@@ -88,7 +88,7 @@ def test_rank_mod_p_on_boundary_maps():
     # real boundary maps fill in during elimination, unlike small random
     # matrices; the transpose must have the same rank
     for k in (4, 5):
-        cards = complexes._relative_cells(gen_G(k))
+        cards = complexes._faces_by_card_from_complex(complexes.independence_complex(gen_G(k)))
         for c in range(1, len(cards)):
             cols = complexes._boundary_columns(cards[c - 1], cards[c])
             signed = _signed_columns(cols)
@@ -119,7 +119,7 @@ def test_boundary_columns_ranked_without_densifying():
     # _rank_mod hands the signed boundary columns to the sparse entry
     # directly; its ranks must equal the oracle's on the dense rows
     for k in (4, 5):
-        cards = complexes._relative_cells(gen_G(k))
+        cards = complexes._faces_by_card_from_complex(complexes.independence_complex(gen_G(k)))
         for c in range(1, len(cards)):
             cols = complexes._boundary_columns(cards[c - 1], cards[c])
             rows = dense_rows(_signed_columns(cols), len(cards[c - 1]))
