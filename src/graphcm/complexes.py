@@ -31,11 +31,12 @@ zero in homology, and Mayer-Vietoris splits: Delta(G) ~ Delta(G minus y)
 v the suspension of Delta(G minus N[y]) (Adamaszek, "Splittings of
 independence complexes and the powers of cycles", JCTA 119, 2012).  So
 over every field, indexed by cardinality, b_c(G) = b_c(G minus y) +
-b_{c-1}(G minus N[y]) (``_betti``), and alpha(G) = max(alpha(G minus y),
-alpha(G minus N[y]) + 1) (``_alpha``).  G is CM iff G minus y and
-G minus N[y] are, with alpha(G minus y) = alpha(G) = alpha(G minus N[y]) + 1
-(``_reisner``), and G is well-covered iff G minus y and G minus N[y] are,
-with the same equation (``_pure``); both read it from ``_split_holds``.
+b_{c-1}(G minus N[y]) (``_betti``), and alpha(G) = alpha(G minus y)
+(``_alpha``): a largest independent set that holds y can swap y for x, as
+N[x] lies inside N[y].  G is CM iff G minus y and G minus N[y] are, with
+alpha(G minus y) = alpha(G) = alpha(G minus N[y]) + 1 (``_reisner``), and G
+is well-covered iff G minus y and G minus N[y] are, with the same equation
+(``_pure``); both read it from ``_split_holds``.
 Let d = alpha(G) - 1.
 * If: Delta(G) glues Delta(G minus y) and the cone y * Delta(G minus N[y]),
   CM of dimension d, along Delta(G minus N[y]), CM of dimension d - 1, so
@@ -97,24 +98,28 @@ classes of G minus N[v] over the vertices v), the graphs G minus v for
 doubly CM, the edge punches G minus N(x) | N(y) for the square criterion
 and both branches of the vertex-decomposability search all read it, so a
 punch is made once, whichever test reaches it first.  A punch or a side
-of a split is tested as a whole by one rule, ``_holds``: its parts'
-independence numbers add up to the one it must have, and every part passes
-the test, read from its own record.  The record also holds its purity; its
-independence number; its dominating vertex; its vertices' shedding
-verdicts; its vertex-decomposability verdict
-(``decomposability``); and per characteristic its Betti numbers, its
-Reisner verdict and its Stanley verdict.  A second field, the other
+of a split is tested as a whole by one rule, ``_holds``: every part is
+pure, its parts' independence numbers add up to the one it must have, and
+every part passes the test, read from its own record in that order.  The
+record also holds its purity; its independence number; its dominating
+vertex; its vertices' shedding verdicts; its vertex-decomposability
+verdict (``decomposability``); and per characteristic its Betti numbers,
+its Reisner verdict and its Stanley verdict.  A second field, the other
 engine or another entry point on a class already met computes no
 canonical form again.  The Stanley engine, and the Reisner engine on a
 class that does not split, test purity before any homology: Gorenstein*
 implies Cohen-Macaulay, which implies pure, and purity needs no homology,
 only the maximal independent sets of a class that does not split, or the
-sides' purity and independence numbers of one that does.  Where the
-enumeration finds one size, that size is alpha.  The children of a pure
-class are pure, and so are the sides of a pure split, so below a pure
-class the recursions enumerate nothing: the children and sides take their
-purity from it, and alpha from a greedy maximal independent set
-(``_known_pure``).
+sides' purity and independence numbers of one that does.  The children of
+a pure class are pure, and so are the sides of a pure split, so below a
+pure class the recursions enumerate nothing: the children and sides take
+their purity from it (``_known_pure``).  One function writes alpha,
+``_alpha``: a class with a dominating vertex y reads it off G minus y, and
+a pure class takes alpha from a greedy maximal independent set, as on a
+well-covered graph every maximal independent set is a largest one.  Since
+``_holds`` reads purity first, and every test it is given implies purity,
+only a class that is impure, or whose purity nothing has read, and has no
+dominating vertex runs ``independence_number``'s branch and bound.
 
 Doubly CM is decided cheapest test first: Reisner, then Gorenstein*, then
 W2, and only then the graphs g minus v.  Two implications make this exact.
@@ -174,19 +179,26 @@ transpositions are among them, so twins need no rule of their own.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from . import canon, linalg
 from .canon import automorphisms, canonical_form
 from .graph import Graph, GraphInputError, bits
-from .independence import _dominates, _greedy_independent, _is_shedding, _max_independent, _mis_masks, _nonadj, _well_covered_alpha, independence_number
+from .independence import _dominates, _greedy_independent, _is_shedding, _mis_masks, _nonadj, independence_number, is_well_covered
 
 
 def _char(field) -> int:
-    """A FieldSpec's characteristic, or an int checked as FieldSpec checks
-    its own; every homology entry point takes its field through this."""
+    """A FieldSpec's characteristic, or an integer checked as FieldSpec
+    checks its own; every homology entry point takes its field through
+    this.  Any integer type is taken as an int (``operator.index``); a
+    float or a string is refused."""
     if isinstance(field, FieldSpec):
         return field.characteristic
+    try:
+        field = operator.index(field)
+    except TypeError:
+        raise GraphInputError(f"field characteristic must be an integer, got {field!r}") from None
     if field >= linalg._MR_LIMIT:
         raise GraphInputError(f"field characteristic {field} is too large to certify as prime")
     if field != 0 and not linalg._is_prime(field):
@@ -201,7 +213,7 @@ class FieldSpec:
     characteristic: int = 0
 
     def __post_init__(self):
-        _char(self.characteristic)
+        object.__setattr__(self, "characteristic", _char(self.characteristic))
 
     def __str__(self):
         return f"char{self.characteristic}"
@@ -405,16 +417,15 @@ def _faces_by_card_from_complex(delta: SimplicialComplex):
     return [sorted(by_card[c]) for c in range(max(by_card) + 1)]
 
 
-def _relative_cells(g: Graph, alpha: int | None = None) -> list:
+def _relative_cells(g: Graph, alpha: int) -> list:
     """The cells of the quotient of Delta(g) by the stars of a greedy
     maximal independent set W (see the module docstring): the independent
     sets of g that meet N(w) for every w in W, as bitmasks listed by
-    cardinality over alpha(g) + 1 levels.  The walk branches on the unmet w
-    with the fewest free neighbours, taking the cell's least vertex u in
-    N(w) and barring the earlier ones, so each cell is listed once; a set
-    that meets every N(w) grows by any free vertices, in increasing order.
-    Unless the caller knows alpha(g), the branch and bound for it starts
-    from the larger of |W| and the top cell, W being independent."""
+    cardinality over alpha + 1 levels, alpha = alpha(g) being the caller's.
+    The walk branches on the unmet w with the fewest free neighbours,
+    taking the cell's least vertex u in N(w) and barring the earlier ones,
+    so each cell is listed once; a set that meets every N(w) grows by any
+    free vertices, in increasing order."""
     adj = g.adj
     nonadj = _nonadj(g)
     stars = []  # N(w) for w in W
@@ -424,7 +435,7 @@ def _relative_cells(g: Graph, alpha: int | None = None) -> list:
         stars.append(adj[w])
         left &= ~(adj[w] | 1 << w)
         free ^= 1 << w  # a cell meets N(w), so it never holds w
-    cells = [[] for _ in range(g.n + 1 if alpha is None else alpha + 1)]
+    cells = [[] for _ in range(alpha + 1)]
     stack = [(0, free, stars)]  # (independent set, the vertices that may join it, the N(w) it misses)
     while stack:
         cur, free, unmet = stack.pop()
@@ -436,10 +447,7 @@ def _relative_cells(g: Graph, alpha: int | None = None) -> list:
         else:
             cells[cur.bit_count()].append(cur)
             stack.extend((cur | 1 << v, free & nonadj[v] & -(2 << v), unmet) for v in bits(free))
-    if alpha is None:
-        top = max((c for c, level in enumerate(cells) if level), default=0)
-        alpha = _max_independent(adj, g.full_mask, 0, max(len(stars), top))
-    return [sorted(level) for level in cells[:alpha + 1]]
+    return [sorted(level) for level in cells]
 
 
 def _boundary_columns(prev_faces, cur_faces):
@@ -581,14 +589,16 @@ class _Class:
     (``_minus``): the punches N[v] of the link recursions and of the
     vertex-decomposability search, the deletions v and the edge punches
     N(x) | N(y), each made once and read through ``_children``,
-    ``_deletions`` and ``_edge_punches``; ``pure`` is well-coveredness;
-    ``alpha`` the independence number; ``dom`` an orbit representative
-    that dominates a neighbour, or -1 (``_dom``); ``sheds`` is an int with
-    bit 2v set once v's shedding test ran and bit 2v + 1 if v sheds;
-    ``shed`` the canonical position in ``graph`` of the shedding vertex the
-    vertex-decomposability search chose, or -1 (``decomposability``);
-    ``betti``, ``cm`` and ``gor`` map a characteristic to the reduced Betti
-    numbers, the Reisner verdict and the Gorenstein* verdict."""
+    ``_deletions`` and ``_edge_punches``; ``pure`` is well-coveredness,
+    written only by ``_pure`` and ``_known_pure``; ``alpha`` the
+    independence number, written only by ``_alpha``; ``dom`` an orbit
+    representative that dominates a neighbour, or -1 (``_dom``); ``sheds``
+    is an int with bit 2v set once v's shedding test ran and bit 2v + 1 if
+    v sheds; ``shed`` the canonical position in ``graph`` of the shedding
+    vertex the vertex-decomposability search chose, or -1
+    (``decomposability``); ``betti``, ``cm`` and ``gor`` map a
+    characteristic to the reduced Betti numbers, the Reisner verdict and
+    the Gorenstein* verdict."""
 
     graph: Graph
     orbit: bytes | None = None
@@ -697,16 +707,12 @@ def _edge_punches(rec: _Class) -> tuple:
 
 def _known_pure(parts) -> tuple:
     """The parts of a punch of a pure class that is pure too, each marked
-    pure: a part with no purity yet takes it with no enumeration, and alpha
-    with it, as on a well-covered graph a greedy maximal independent set is
-    a largest one.  The children of a pure class are pure, as the link of a
-    face in a pure complex is pure and a join is pure iff its factors are;
-    so are both sides of a pure split (module docstring)."""
+    pure with no enumeration (and so given alpha greedily by ``_alpha``).
+    The children of a pure class are pure, as the link of a face in a pure
+    complex is pure and a join is pure iff its factors are; so are both
+    sides of a pure split (module docstring)."""
     for p in parts:
-        if p.pure is None:
-            p.pure = True
-            if p.alpha is None:
-                p.alpha = _greedy_independent(p.graph)
+        p.pure = True
     return parts
 
 
@@ -726,37 +732,44 @@ def _split(rec: _Class) -> tuple:
 
 
 def _holds(parts, alpha: int, test, *args) -> bool:
-    """The parts' independence numbers add up to alpha, and every part
-    passes test; every alpha is read before any test."""
-    return sum(map(_alpha, parts)) == alpha and all(test(p, *args) for p in parts)
+    """Every part is pure, the parts' independence numbers add up to alpha,
+    and every part passes test, read in that order.  test must imply
+    purity, as _pure and _reisner do, so the order changes no verdict, and
+    every alpha read is a pure part's, which _alpha takes greedily."""
+    return all(map(_pure, parts)) and sum(map(_alpha, parts)) == alpha and all(test(p, *args) for p in parts)
 
 
 def _split_holds(rec: _Class, test, *args) -> bool:
-    """At the dominating y: alpha(G minus y) = alpha(G minus N[y]) + 1, and
-    every part of both sides passes test (module docstring).  alpha(G) is
-    the larger side, so the one equation holds both."""
+    """At the dominating y: alpha(G minus N[y]) = alpha(G) - 1, and every
+    part of both sides passes test (module docstring).  alpha(G) =
+    alpha(G minus y), so the equation is alpha(G minus y) =
+    alpha(G minus N[y]) + 1; each side's purity is read before its alpha,
+    as in _holds."""
     minus, link = _split(rec)
-    return _holds(minus, sum(map(_alpha, link)) + 1, test, *args) and all(test(p, *args) for p in link)
+    return (
+        all(map(_pure, link))
+        and _holds(minus, sum(map(_alpha, link)) + 1, test, *args)
+        and all(test(p, *args) for p in link)
+    )
 
 
 def _pure(rec: _Class) -> bool:
-    """Well-coveredness; an enumeration that finds one size finds alpha."""
+    """Well-coveredness: from the split at a dominating vertex, or else
+    from the maximal independent sets."""
     if rec.pure is None:
-        if _dom(rec) >= 0:
-            rec.pure = _split_holds(rec, _pure)
-        else:
-            size = _well_covered_alpha(rec.graph)
-            rec.pure = size is not None
-            if rec.pure:
-                rec.alpha = size
+        rec.pure = _split_holds(rec, _pure) if _dom(rec) >= 0 else is_well_covered(rec.graph)
     return rec.pure
 
 
 def _alpha(rec: _Class) -> int:
+    """The independence number, the only writer of ``rec.alpha``: that of
+    G minus y at a dominating y, a greedy one on a pure class, and the
+    branch and bound's on any other (module docstring)."""
     if rec.alpha is None:
         if _dom(rec) >= 0:
-            minus, link = _split(rec)
-            rec.alpha = max(sum(map(_alpha, minus)), sum(map(_alpha, link)) + 1)
+            rec.alpha = sum(map(_alpha, _split(rec)[0]))
+        elif rec.pure:
+            rec.alpha = _greedy_independent(rec.graph)
         else:
             rec.alpha = independence_number(rec.graph)
     return rec.alpha
@@ -792,7 +805,8 @@ def _join(parts, char: int) -> tuple:
 
 def _betti(rec: _Class, char: int) -> tuple:
     """The class's Betti numbers: split at a dominating vertex, or ranked
-    on the relative complex; either way their length gives alpha."""
+    on the relative complex over alpha + 1 cardinalities, alpha read from
+    _alpha."""
     out = rec.betti.get(char)
     if out is None:
         if _dom(rec) >= 0:
@@ -806,9 +820,8 @@ def _betti(rec: _Class, char: int) -> tuple:
                 out[c] += b
             out = rec.betti[char] = tuple(out)
         else:
-            rec.betti.update(_profiles(_relative_cells(rec.graph, rec.alpha), char))
+            rec.betti.update(_profiles(_relative_cells(rec.graph, _alpha(rec)), char))
             out = rec.betti[char]
-        rec.alpha = len(out) - 1
     return out
 
 

@@ -150,22 +150,17 @@ def _max_independent(adj, cand: int, size: int, best: int) -> int:
     return best
 
 
-def _well_covered_alpha(g: Graph) -> int | None:
-    """The one cardinality all maximal independent sets share, alpha(g), or
-    None if they have two; the enumeration stops at the second."""
+def is_well_covered(g: Graph) -> bool:
+    """True iff all maximal independent sets share one cardinality; the
+    enumeration stops at the second."""
     size = None
     for mask in _mis_masks(g):
         c = mask.bit_count()
         if size is None:
             size = c
         elif c != size:
-            return None
-    return size
-
-
-def is_well_covered(g: Graph) -> bool:
-    """True iff all maximal independent sets share one cardinality."""
-    return _well_covered_alpha(g) is not None
+            return False
+    return True
 
 
 def independent_set_report(g: Graph) -> IndependentSetReport:

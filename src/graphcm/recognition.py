@@ -507,7 +507,8 @@ def classify(g: Graph, fields=DEFAULT_FIELDS) -> ClassificationReport:
     chars = [_char(f) for f in fields]
     girth = g.girth()
     parts = _parts(g)
-    # purity first: an enumeration that finds one size gives alpha with it
+    # purity first: a pure class takes alpha from a greedy maximal
+    # independent set, with no branch and bound
     well_covered = all(map(_pure, parts))
     return ClassificationReport(
         n=g.n,

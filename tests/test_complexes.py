@@ -38,7 +38,7 @@ from graphcm.complexes import (
     parse_fields,
 )
 from graphcm.graph import Graph, GraphInputError, complete_bipartite, complete_graph, cycle_graph, path_graph
-from graphcm.independence import independence_number, is_w2, is_well_covered
+from graphcm.independence import _dominates, independence_number, is_w2, is_well_covered
 from graphcm.families import gen_G, gen_H
 
 
@@ -60,6 +60,22 @@ def test_field_spec_validation():
         FieldSpec(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
     with pytest.raises(GraphInputError):
         FieldSpec(10**25 + 13)  # beyond the deterministic Miller-Rabin range
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    # any integer type is taken, and kept as an int
+    assert FieldSpec(Three()) == FieldSpec(3) and str(FieldSpec(Three())) == "char3"
+
+
+@pytest.mark.parametrize("char", [3.0, 2.0, 0.0, "2"], ids=repr)
+def test_a_characteristic_that_is_no_integer_is_refused(char):
+    # a float or a string is refused even where its value is a characteristic
+    with pytest.raises(GraphInputError):
+        FieldSpec(char)
+    with pytest.raises(GraphInputError):
+        is_cm_graph(cycle_graph(5), char)
 
 
 def _entry_points(g):
@@ -304,13 +320,13 @@ def test_relative_complex_betti_match_all_faces(g):
         want = brute_reduced_betti(faces, char)
         assert graph_betti(g, char) == want
         # graph_betti splits the classes with a leaf; rank g's own cells too
-        assert g.n == 0 or complexes._profile_from_cards(complexes._relative_cells(g), char) == want
+        assert g.n == 0 or complexes._profile_from_cards(complexes._relative_cells(g, independence_number(g)), char) == want
 
 
 def _squares_to_zero(g) -> bool:
     """d_{c-1} d_c = 0 over Z on the signed boundary maps of g's relative
     complex, which a sign that ignored the dropped terms' places breaks."""
-    cells = complexes._relative_cells(g)
+    cells = complexes._relative_cells(g, independence_number(g))
     maps = [list(complexes._signed(complexes._boundary_columns(cells[c - 1], cells[c]))) for c in range(1, len(cells))]
     for lower, upper in zip(maps, maps[1:]):
         for col in upper:
@@ -345,7 +361,7 @@ def test_relative_complex_of_undominated_graphs_matches_all_faces(g):
         assert complexes._dom(rec) == -1
         want = brute_reduced_betti(faces, char)
         assert graph_betti(g, char) == want
-        assert complexes._profile_from_cards(complexes._relative_cells(g), char) == want
+        assert complexes._profile_from_cards(complexes._relative_cells(g, independence_number(g)), char) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,6 +406,10 @@ def test_split_betti_and_alpha_match_all_faces(g):
     assert any(complexes._dom(p) >= 0 for p in parts)
     # alpha first, so it comes from the split and not from a profile's length
     assert sum(map(complexes._alpha, parts)) == brute_alpha(g)
+    # the identity _alpha reads: alpha(G) = alpha(G - y) at every dominating y
+    for y in range(g.n):
+        if _dominates(g.adj, y):
+            assert brute_alpha(g.keep_mask(g.full_mask & ~(1 << y))) == brute_alpha(g)
     for char in (0, 2, 3):
         assert graph_betti(g, char) == brute_reduced_betti(faces, char)
 
@@ -416,6 +436,24 @@ def test_the_cm_split_needs_the_alpha_condition():
     assert all(complexes._reisner(p, 0) for p in minus)
     assert [sum(map(complexes._alpha, side)) for side in (minus, link)] == [2, 0]
     assert not is_cm_graph(g, 0) and not is_cm(independence_complex(g), FieldSpec(0))
+
+
+def test_cold_checks_on_the_families_run_no_branch_and_bound(monkeypatch):
+    # _holds reads purity before alpha, so every alpha these checks read is
+    # a split's or a pure class's greedy one
+    from graphcm.recognition import classify
+
+    runs = _count_calls(monkeypatch, complexes, "independence_number")
+    complexes.clear_caches()
+    assert is_cm_graph(gen_H(12), 0)
+    for k in (3, 4, 5):
+        for g in (gen_G(k), gen_H(k)):
+            complexes.clear_caches()
+            assert classify(g, (0, 2)).alpha == k
+    for char in (0, 2):
+        complexes.clear_caches()
+        assert is_gorenstein_graph(gen_G(6), char)
+    assert runs == []
 
 
 def _record_enumerations(monkeypatch) -> list:
@@ -446,7 +484,6 @@ def test_split_purity_matches_the_maximal_independent_sets(g):
 def test_split_classes_decide_purity_without_enumerating(monkeypatch):
     # every class met on whiskered P8 splits at a stem, down to K1 parts
     from graphcm.families import whiskered
-    from graphcm.independence import _dominates
 
     seen = _record_enumerations(monkeypatch)
     g = whiskered(path_graph(8))
@@ -486,7 +523,7 @@ def test_recursions_leave_no_reference_cycle():
             independence_number(g)
             g.block_masks()
             recognition._has_cycle_of_length(g, 5)
-            complexes._relative_cells(g)
+            complexes._relative_cells(g, independence_number(g))
         assert gc.collect() == 0
     finally:
         gc.enable()

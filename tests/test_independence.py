@@ -12,7 +12,6 @@ from graphcm.independence import (
     _dominates,
     _is_shedding,
     _mis_masks,
-    _well_covered_alpha,
     independence_number,
     independent_set_report,
     is_w2,
@@ -39,6 +38,8 @@ def test_well_covered_examples():
     assert is_well_covered(cycle_graph(7))
     assert not is_well_covered(path_graph(3))
     assert is_well_covered(cycle_graph(4))
+    assert is_well_covered(gen_G(5))
+    assert is_well_covered(Graph.empty(0))
 
 
 def test_w2_examples():
@@ -127,12 +128,6 @@ def test_shedding_on_g_minus_the_closed_neighbourhood_matches_g_minus_v(g):
         near = [u - (u > v) for u in bits(g.adj[v])]  # N(v) in rest's numbering
         sheds = all(any(m >> u & 1 for u in near) for m in brute_maximal_independent_sets(rest))
         assert _is_shedding(g, v) == sheds
-
-
-def test_well_covered_alpha_is_the_common_size():
-    assert _well_covered_alpha(cycle_graph(7)) == 3 and _well_covered_alpha(gen_G(5)) == 5
-    assert _well_covered_alpha(path_graph(3)) is None
-    assert _well_covered_alpha(Graph.empty(0)) == 0
 
 
 # -- past one table byte: graphs on 9 to 24 vertices ----------------------------------

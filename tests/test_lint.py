@@ -384,3 +384,47 @@ def test_complexes_holds_alone_tests_an_alpha_sum():
     # CM, purity, doubly CM and the edge punches all read the rule from _holds
     source = (MODULES[0].parent / "complexes.py").read_text()
     assert [name for _, name in _alpha_sum_tests(source)] == ["_holds"]
+
+
+# -- one writer per field of the class records ---------------------------------------
+
+
+def _attribute_writers(source: str, attr: str) -> list:
+    """The module-level functions that assign an attribute named attr."""
+    return sorted(
+        func.name
+        for func in ast.parse(source).body
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr == attr
+            for node in ast.walk(func)
+        )
+    )
+
+
+def test_detector_flags_each_writer_of_alpha():
+    # purity, the greedy marking and the Betti numbers each set alpha
+    parent = (
+        "def _pure(rec):\n"
+        "    size = _well_covered_alpha(rec.graph)\n"
+        "    rec.pure = size is not None\n"
+        "    if rec.pure:\n"
+        "        rec.alpha = size\n"
+        "def _known_pure(parts):\n"
+        "    for p in parts:\n"
+        "        p.pure = True\n"
+        "        if p.alpha is None:\n"
+        "            p.alpha = _greedy_independent(p.graph)\n"
+        "def _betti(rec, char):\n"
+        "    out = rec.betti[char] = _profiles(_relative_cells(rec.graph, rec.alpha), char)\n"
+        "    rec.alpha = len(out) - 1\n"
+        "    return out\n"
+    )
+    assert _attribute_writers(parent, "alpha") == ["_betti", "_known_pure", "_pure"]
+    assert _attribute_writers(parent, "pure") == ["_known_pure", "_pure"]
+
+
+def test_complexes_writes_alpha_and_purity_in_one_place_each():
+    source = (MODULES[0].parent / "complexes.py").read_text()
+    assert _attribute_writers(source, "alpha") == ["_alpha"]
+    assert _attribute_writers(source, "pure") == ["_known_pure", "_pure"]
